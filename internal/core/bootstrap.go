@@ -2,10 +2,10 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"shmcaffe/internal/smb"
-	"shmcaffe/internal/tensor"
 )
 
 // SMB-only bootstrap: form a training job across OS processes with no MPI
@@ -40,139 +40,80 @@ func (o *BootstrapOptions) defaults() {
 // appear; everyone then passes a ready-flag barrier. All ranks must call
 // it with the same job, n and elems.
 func SetupBuffersPolling(client smb.Client, job string, rank, n, elems int, initWeights []float32, opts BootstrapOptions) (*JobBuffers, error) {
+	return setupBuffers(client, job, rank, n, elems, initWeights, newPollRendezvous(client, job, rank, n, opts))
+}
+
+// pollRendezvous meets through the server itself: the master publishes the
+// boot segment last, the others poll for it, and the boot segment's
+// per-rank ready flags are the barrier.
+type pollRendezvous struct {
+	client   smb.Client
+	job      string
+	rank, n  int
+	poll     time.Duration
+	deadline time.Time
+}
+
+func newPollRendezvous(client smb.Client, job string, rank, n int, opts BootstrapOptions) *pollRendezvous {
 	opts.defaults()
-	if elems <= 0 || n < 1 || rank < 0 || rank >= n {
-		return nil, fmt.Errorf("bootstrap %q rank %d of %d, %d elems: %w", job, rank, n, elems, ErrConfig)
+	return &pollRendezvous{
+		client: client, job: job, rank: rank, n: n,
+		poll: opts.PollInterval, deadline: time.Now().Add(opts.Timeout),
 	}
-	names := smb.SegmentNames{Job: job}
-	deadline := time.Now().Add(opts.Timeout)
+}
 
-	if rank == 0 {
-		if len(initWeights) != elems {
-			return nil, fmt.Errorf("bootstrap %q: %d init weights for %d elems: %w",
-				job, len(initWeights), elems, ErrConfig)
-		}
-		key, err := client.Create(names.Global(), elems*4)
-		if err != nil {
-			return nil, fmt.Errorf("create global: %w", err)
-		}
-		if _, err := client.Create(names.Control(), controlSize(n)); err != nil {
-			return nil, fmt.Errorf("create control: %w", err)
-		}
-		if _, err := client.Create(bootSegment(job), n*8); err != nil {
-			return nil, fmt.Errorf("create boot: %w", err)
-		}
-		h, err := client.Attach(key)
-		if err != nil {
-			return nil, err
-		}
-		if err := client.Write(h, 0, tensor.Float32Bytes(initWeights)); err != nil {
-			return nil, fmt.Errorf("seed global: %w", err)
-		}
-		if err := client.Detach(h); err != nil {
-			return nil, err
+func (r *pollRendezvous) shareKey(smb.SHMKey) (smb.SHMKey, error) {
+	if r.rank == 0 {
+		if _, err := r.client.Create(bootSegment(r.job), r.n*8); err != nil {
+			return 0, fmt.Errorf("create boot: %w", err)
 		}
 	}
-
-	// Everyone (master included) waits for the segment family, then
-	// attaches.
-	var globalKey smb.SHMKey
+	// Everyone (master included) waits for the segment family. The boot
+	// segment is created last by the master, so its presence implies the
+	// whole family is ready.
+	global := smb.SegmentNames{Job: r.job}.Global()
 	for {
-		key, err := client.Lookup(names.Global())
+		key, err := r.client.Lookup(global)
 		if err == nil {
-			// The boot segment is created last by the master, so its
-			// presence implies the whole family is ready.
-			if _, err := client.Lookup(bootSegment(job)); err == nil {
-				globalKey = key
-				break
+			if _, err := r.client.Lookup(bootSegment(r.job)); err == nil {
+				return key, nil
 			}
 		}
-		if time.Now().After(deadline) {
-			return nil, fmt.Errorf("bootstrap %q rank %d: rendezvous timeout: %w", job, rank, ErrConfig)
+		if time.Now().After(r.deadline) {
+			return 0, fmt.Errorf("bootstrap %q rank %d: rendezvous timeout: %w", r.job, r.rank, ErrConfig)
 		}
-		time.Sleep(opts.PollInterval)
+		time.Sleep(r.poll)
 	}
+}
 
-	global, err := client.Attach(globalKey)
+// barrier marks this rank's ready flag and waits for all of them.
+func (r *pollRendezvous) barrier() error {
+	bootKey, err := r.client.Lookup(bootSegment(r.job))
 	if err != nil {
-		return nil, fmt.Errorf("attach global: %w", err)
+		return err
 	}
-	incrKey, err := client.Create(names.Increment(rank), elems*4)
+	boot, err := r.client.Attach(bootKey)
 	if err != nil {
-		return nil, fmt.Errorf("create increment: %w", err)
+		return err
 	}
-	incr, err := client.Attach(incrKey)
-	if err != nil {
-		return nil, err
-	}
-	ctlKey, err := client.Lookup(names.Control())
-	if err != nil {
-		return nil, err
-	}
-	control, err := client.Attach(ctlKey)
-	if err != nil {
-		return nil, err
-	}
-
-	// Ready-flag barrier: mark our slot, wait for all slots.
-	bootKey, err := client.Lookup(bootSegment(job))
-	if err != nil {
-		return nil, err
-	}
-	boot, err := client.Attach(bootKey)
-	if err != nil {
-		return nil, err
-	}
-	if err := smb.WriteInt64(client, boot, rank, 1); err != nil {
-		return nil, err
+	if err := smb.WriteInt64(r.client, boot, r.rank, 1); err != nil {
+		return err
 	}
 	for {
-		flags, err := smb.ReadInt64Slots(client, boot, n)
+		flags, err := smb.ReadInt64Slots(r.client, boot, r.n)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		allReady := true
-		for _, f := range flags {
-			if f == 0 {
-				allReady = false
-				break
-			}
-		}
-		if allReady {
+		if !slices.Contains(flags, 0) {
 			break
 		}
-		if time.Now().After(deadline) {
-			return nil, fmt.Errorf("bootstrap %q rank %d: barrier timeout (flags %v): %w",
-				job, rank, flags, ErrConfig)
+		if time.Now().After(r.deadline) {
+			return fmt.Errorf("bootstrap %q rank %d: barrier timeout (flags %v): %w",
+				r.job, r.rank, flags, ErrConfig)
 		}
-		time.Sleep(opts.PollInterval)
+		time.Sleep(r.poll)
 	}
-	if err := client.Detach(boot); err != nil {
-		return nil, err
-	}
-
-	// Feature-test the chunk-pipelined push exactly like SetupBuffers does
-	// (the seed forgot this here, so polling-bootstrapped workers silently
-	// fell back to the unfused Write+Accumulate pair). The trace carrier is
-	// feature-tested the same way: without it, polling-bootstrapped workers
-	// — i.e. every multi-process worker — silently run untraced.
-	wacc, _ := client.(smb.WriteAccumulator)
-	carrier, _ := client.(smb.TraceCarrier)
-	return &JobBuffers{
-		client:    client,
-		carrier:   carrier,
-		wacc:      wacc,
-		rank:      rank,
-		n:         n,
-		elems:     elems,
-		globalKey: globalKey,
-		global:    global,
-		incr:      incr,
-		control:   control,
-		wgBytes:   make([]byte, elems*4),
-		dwBytes:   make([]byte, elems*4),
-		wgFloats:  make([]float32, elems),
-	}, nil
+	return r.client.Detach(boot)
 }
 
 // NewWorkerPolling builds a SEASGD worker using the SMB-only rendezvous:
@@ -185,27 +126,5 @@ func NewWorkerPolling(cfg WorkerConfig, rank, world int, opts BootstrapOptions) 
 	if err := cfg.validateCommon(); err != nil {
 		return nil, err
 	}
-	if rank < 0 || rank >= world {
-		return nil, fmt.Errorf("rank %d of %d: %w", rank, world, ErrConfig)
-	}
-	if cfg.ProgressEvery < 1 {
-		cfg.ProgressEvery = 1
-	}
-	if cfg.Now == nil {
-		cfg.Now = time.Now
-	}
-	elems := cfg.Net.NumParams()
-	var seed []float32
-	if rank == 0 {
-		seed = cfg.Net.FlatWeights(nil)
-	}
-	buffers, err := SetupBuffersPolling(cfg.Client, cfg.Job, rank, world, elems, seed, opts)
-	if err != nil {
-		return nil, fmt.Errorf("rank %d polling setup: %w", rank, err)
-	}
-	// The shared constructor also allocates the staleness-probe scratch the
-	// seed's polling path skipped (which silently disabled the telemetry
-	// staleness probe for multi-process workers).
-	cfg.Telemetry.NameWorker(rank)
-	return newWorkerFromBuffers(cfg, rank, buffers), nil
+	return newWorker(cfg, rank, world, newPollRendezvous(cfg.Client, cfg.Job, rank, world, opts))
 }

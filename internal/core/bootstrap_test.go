@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"shmcaffe/internal/mpi"
 	"shmcaffe/internal/smb"
 )
 
@@ -66,39 +67,68 @@ func TestPollingBootstrapValidation(t *testing.T) {
 	}
 }
 
-// tracingClient wraps a client with a no-op TraceCarrier surface, modeling
-// the supervised TCP client multi-process workers actually use.
+// tracingClient wraps a LocalClient with a no-op TraceCarrier surface,
+// modeling the supervised TCP client multi-process workers actually use
+// (which also streams its pushes).
 type tracingClient struct {
-	smb.Client
+	*smb.LocalClient
 	tc smb.TraceContext
 }
 
 func (c *tracingClient) SetTraceContext(tc smb.TraceContext) { c.tc = tc }
 func (c *tracingClient) ClearTraceContext()                  { c.tc = smb.TraceContext{} }
 
-// TestPollingBootstrapCapturesCarrier: SetupBuffersPolling must feature-test
-// the trace carrier like SetupBuffers does. It once didn't, so every
-// multi-process worker (they all bootstrap by polling) ran untraced and the
-// merged fleet trace had zero cross-node chains.
+// TestPollingBootstrapCapturesCarrier: both rendezvous must feature-test
+// the client the same way. A bootstrap that skips a probe silently runs
+// every worker it builds unfused or untraced — for the polling path that
+// is every multi-process worker, and the merged fleet trace then has zero
+// cross-node chains.
 func TestPollingBootstrapCapturesCarrier(t *testing.T) {
-	job := newTestJob(t, 1, 54)
 	opts := BootstrapOptions{PollInterval: time.Millisecond, Timeout: 10 * time.Second}
-	elems := job.nets[0].NumParams()
-	client := &tracingClient{Client: smb.NewLocalClient(job.store)}
-	weights := make([]float32, elems)
-	bufs, err := SetupBuffersPolling(client, "carrier", 0, 1, elems, weights, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if bufs.TraceCarrier() == nil {
-		t.Fatal("polling bootstrap dropped the client's TraceCarrier")
-	}
-	bare, err := SetupBuffersPolling(smb.NewLocalClient(job.store), "carrier2", 0, 1, elems, weights, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if bare.TraceCarrier() != nil {
-		t.Fatal("a client without SetTraceContext must yield a nil carrier")
+	for _, tc := range []struct {
+		name  string
+		setup func(client smb.Client, job string, elems int, seed []float32) (*JobBuffers, error)
+	}{
+		{"mpi", func(client smb.Client, job string, elems int, seed []float32) (*JobBuffers, error) {
+			world, err := mpi.NewWorld(1)
+			if err != nil {
+				return nil, err
+			}
+			comm, err := world.Comm(0)
+			if err != nil {
+				return nil, err
+			}
+			return SetupBuffers(comm, client, job, elems, seed)
+		}},
+		{"polling", func(client smb.Client, job string, elems int, seed []float32) (*JobBuffers, error) {
+			return SetupBuffersPolling(client, job, 0, 1, elems, seed, opts)
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			store := smb.NewStore()
+			const elems = 16
+			seed := make([]float32, elems)
+			traced, err := tc.setup(&tracingClient{LocalClient: smb.NewLocalClient(store)}, "carrier", elems, seed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if traced.TraceCarrier() == nil {
+				t.Error("bootstrap dropped the client's TraceCarrier")
+			}
+			if !traced.CanStreamPush() {
+				t.Error("bootstrap dropped the client's WriteAccumulate")
+			}
+			bare, err := tc.setup(smb.NewLocalClient(store), "carrier2", elems, seed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if bare.TraceCarrier() != nil {
+				t.Error("a client without SetTraceContext must yield a nil carrier")
+			}
+			if !bare.CanStreamPush() {
+				t.Error("LocalClient streams its pushes")
+			}
+		})
 	}
 }
 

@@ -27,15 +27,13 @@ type JobBuffers struct {
 	n     int
 	elems int
 
-	globalKey smb.SHMKey
-	global    smb.Handle // Wg (shared)
-	incr      smb.Handle // ΔWx (private to this worker)
-	control   smb.Handle // progress counters + stop flag
+	global  smb.Handle // Wg (shared)
+	incr    smb.Handle // ΔWx (private to this worker)
+	control smb.Handle // progress counters + stop flag
 
 	// scratch buffers reused across iterations
-	wgBytes  []byte
-	dwBytes  []byte
-	wgFloats []float32
+	wgBytes []byte
+	dwBytes []byte
 }
 
 // Control segment layout: n int64 iteration counters, one int64 stop flag
@@ -54,8 +52,6 @@ func controlSize(n int) int { return ControlSegmentSlots(n) * 8 }
 // segment of an n-worker job (progress + stop flag + heartbeats + clocks).
 func ControlSegmentSlots(n int) int { return 3*n + 1 }
 
-const stopFlagSlot = -1 // resolved to slot n at runtime
-
 // deadTombstone is the heartbeat value a worker writes on its way out of a
 // failed Run — an explicit obituary, faster to detect than staleness.
 const deadTombstone int64 = -1
@@ -71,12 +67,50 @@ const DeadTombstone = deadTombstone
 // over MPI and everyone attaches. The call is collective: all ranks of
 // comm's world must invoke it.
 func SetupBuffers(comm *mpi.Comm, client smb.Client, job string, elems int, initWeights []float32) (*JobBuffers, error) {
-	if elems <= 0 {
-		return nil, fmt.Errorf("setup %q with %d elements: %w", job, elems, ErrConfig)
+	return setupBuffers(client, job, comm.Rank(), comm.Size(), elems, initWeights, mpiRendezvous{comm})
+}
+
+// rendezvous is how the ranks of a job meet during the buffer bootstrap.
+// It is the only part of the bootstrap that differs between the MPI
+// (SetupBuffers) and SMB-only (SetupBuffersPolling) paths.
+type rendezvous interface {
+	// shareKey runs once the master has created the segment family; it
+	// returns the Wg key on every rank (key is the master's, the zero key
+	// elsewhere).
+	shareKey(key smb.SHMKey) (smb.SHMKey, error)
+	// barrier returns once every rank has attached its buffers.
+	barrier() error
+}
+
+// mpiRendezvous is Fig. 2's: broadcast the key, then an MPI barrier.
+type mpiRendezvous struct{ comm *mpi.Comm }
+
+func (r mpiRendezvous) shareKey(key smb.SHMKey) (smb.SHMKey, error) {
+	var keyBuf [8]byte
+	binary.LittleEndian.PutUint64(keyBuf[:], uint64(key))
+	out, err := r.comm.Bcast(0, keyBuf[:])
+	if err != nil {
+		return 0, fmt.Errorf("broadcast shm key: %w", err)
+	}
+	return smb.SHMKey(binary.LittleEndian.Uint64(out)), nil
+}
+
+func (r mpiRendezvous) barrier() error {
+	r.comm.Barrier()
+	return nil
+}
+
+// setupBuffers is the one buffer bootstrap behind both rendezvous: rank 0
+// creates the Wg and control segments; rv shares the Wg key; every rank
+// attaches Wg (rank 0 seeds it: the master worker "initializes
+// parameter", Sec. III-A), creates and attaches its increment segment,
+// attaches the control segment, and waits at rv's barrier before anyone
+// writes.
+func setupBuffers(client smb.Client, job string, rank, n, elems int, initWeights []float32, rv rendezvous) (*JobBuffers, error) {
+	if elems <= 0 || n < 1 || rank < 0 || rank >= n {
+		return nil, fmt.Errorf("setup %q rank %d of %d, %d elems: %w", job, rank, n, elems, ErrConfig)
 	}
 	names := smb.SegmentNames{Job: job}
-	n := comm.Size()
-	rank := comm.Rank()
 
 	var globalKey smb.SHMKey
 	if rank == 0 {
@@ -92,33 +126,22 @@ func SetupBuffers(comm *mpi.Comm, client smb.Client, job string, elems int, init
 		if _, err := client.Create(names.Control(), controlSize(n)); err != nil {
 			return nil, fmt.Errorf("create control: %w", err)
 		}
-		// Seed Wg with the initial weights so all replicas start from
-		// the same point (master worker "initializes parameter",
-		// Sec. III-A).
-		h, err := client.Attach(key)
-		if err != nil {
-			return nil, fmt.Errorf("attach global for init: %w", err)
-		}
-		if err := client.Write(h, 0, tensor.Float32Bytes(initWeights)); err != nil {
-			return nil, fmt.Errorf("seed global: %w", err)
-		}
-		if err := client.Detach(h); err != nil {
-			return nil, fmt.Errorf("detach init handle: %w", err)
-		}
 	}
 
-	// Broadcast the SHM key (Fig. 2 "Broadcast SHM key").
-	var keyBuf [8]byte
-	binary.LittleEndian.PutUint64(keyBuf[:], uint64(globalKey))
-	out, err := comm.Bcast(0, keyBuf[:])
+	globalKey, err := rv.shareKey(globalKey)
 	if err != nil {
-		return nil, fmt.Errorf("broadcast shm key: %w", err)
+		return nil, err
 	}
-	globalKey = smb.SHMKey(binary.LittleEndian.Uint64(out))
-
 	global, err := client.Attach(globalKey)
 	if err != nil {
 		return nil, fmt.Errorf("attach global: %w", err)
+	}
+	// Seed Wg so all replicas start from the same point. The barrier below
+	// orders it before every other rank's first read.
+	if rank == 0 {
+		if err := client.Write(global, 0, tensor.Float32Bytes(initWeights)); err != nil {
+			return nil, fmt.Errorf("seed global: %w", err)
+		}
 	}
 	incrKey, err := client.Create(names.Increment(rank), elems*4)
 	if err != nil {
@@ -137,25 +160,31 @@ func SetupBuffers(comm *mpi.Comm, client smb.Client, job string, elems int, init
 		return nil, fmt.Errorf("attach control: %w", err)
 	}
 	// All ranks attached before anyone starts writing.
-	comm.Barrier()
+	if err := rv.barrier(); err != nil {
+		return nil, err
+	}
 
-	wacc, _ := client.(smb.WriteAccumulator)
-	carrier, _ := client.(smb.TraceCarrier)
-	return &JobBuffers{
-		client:    client,
-		carrier:   carrier,
-		wacc:      wacc,
-		rank:      rank,
-		n:         n,
-		elems:     elems,
-		globalKey: globalKey,
-		global:    global,
-		incr:      incr,
-		control:   control,
-		wgBytes:   make([]byte, elems*4),
-		dwBytes:   make([]byte, elems*4),
-		wgFloats:  make([]float32, elems),
-	}, nil
+	b := &JobBuffers{
+		rank:    rank,
+		n:       n,
+		elems:   elems,
+		global:  global,
+		incr:    incr,
+		control: control,
+		wgBytes: make([]byte, elems*4),
+		dwBytes: make([]byte, elems*4),
+	}
+	b.setClient(client)
+	return b, nil
+}
+
+// setClient installs client and feature-tests its optional capabilities.
+// Keep it the only place core type-asserts a client, so no bootstrap path
+// can silently run without the fused push or tracing.
+func (b *JobBuffers) setClient(client smb.Client) {
+	b.client = client
+	b.wacc, _ = client.(smb.WriteAccumulator)
+	b.carrier, _ = client.(smb.TraceCarrier)
 }
 
 // ReadGlobal fetches Wg into dst (len elems) — the T1 step.
@@ -173,10 +202,7 @@ func (b *JobBuffers) ReadGlobal(dst []float32) error {
 // store of the push. Split from AccumulateIncrement so the phase tracer can
 // time the two halves of the exchange separately.
 func (b *JobBuffers) WriteIncrement(delta []float32) error {
-	if len(delta) != b.elems {
-		return fmt.Errorf("push %d elements, want %d: %w", len(delta), b.elems, ErrConfig)
-	}
-	if _, err := tensor.EncodeFloat32(delta, b.dwBytes); err != nil {
+	if err := b.StageIncrement(delta); err != nil {
 		return err
 	}
 	if err := b.client.Write(b.incr, 0, b.dwBytes); err != nil {
@@ -199,11 +225,21 @@ func (b *JobBuffers) AccumulateIncrement() error {
 // When the client supports it, the push streams as a chunk-pipelined
 // WRITE+ACCUMULATE sequence.
 func (b *JobBuffers) PushIncrement(delta []float32) error {
-	if b.CanStreamPush() {
-		return b.StreamIncrement(delta)
-	}
-	if err := b.WriteIncrement(delta); err != nil {
+	if err := b.StageIncrement(delta); err != nil {
 		return err
+	}
+	return b.pushStaged()
+}
+
+// pushStaged stores the staged increment and folds it into Wg: one
+// chunk-pipelined WRITE+ACCUMULATE when the client supports it, otherwise
+// the split Write+Accumulate pair (test doubles that wrap the interface).
+func (b *JobBuffers) pushStaged() error {
+	if b.CanStreamPush() {
+		return b.StreamStaged()
+	}
+	if err := b.client.Write(b.incr, 0, b.dwBytes); err != nil {
+		return fmt.Errorf("write increment: %w", err)
 	}
 	return b.AccumulateIncrement()
 }

@@ -150,8 +150,7 @@ func TestStreamPushFallback(t *testing.T) {
 	}
 	// A bare-interface wrapper drops the capability.
 	b := *bufs[0]
-	b.client = clientOnly{bufs[0].client}
-	b.wacc, _ = b.client.(smb.WriteAccumulator)
+	b.setClient(clientOnly{bufs[0].client})
 	if b.CanStreamPush() {
 		t.Fatal("wrapper should not stream")
 	}

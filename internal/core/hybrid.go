@@ -67,19 +67,7 @@ func (c *HybridGroupConfig) Validate() error {
 		return fmt.Errorf("hybrid group has %d nets and %d loaders: %w",
 			len(c.Nets), len(c.Loaders), ErrConfig)
 	}
-	if c.Job == "" {
-		return fmt.Errorf("hybrid group needs a job name: %w", ErrConfig)
-	}
-	if c.MaxIterations < 1 {
-		return fmt.Errorf("max iterations %d < 1: %w", c.MaxIterations, ErrConfig)
-	}
-	if err := c.Elastic.Validate(); err != nil {
-		return err
-	}
-	if err := c.Solver.Validate(); err != nil {
-		return err
-	}
-	return c.Termination.Validate()
+	return validateRun(c.Job, c.MaxIterations, c.Elastic, c.Solver, c.Termination)
 }
 
 // GroupStats aggregates the outcome of one hybrid group.
@@ -107,16 +95,9 @@ type GroupStats struct {
 // HybridGroup runs HSGD for one worker group. All groups of a job must be
 // constructed concurrently (the bootstrap is collective over Comm's world).
 type HybridGroup struct {
-	cfg      HybridGroupConfig
-	buffers  *JobBuffers
-	group    *nccl.Group
-	liveness *livenessTracker // nil unless LivenessTimeout > 0
-	beats    []int64          // heartbeat read scratch (root only)
-
-	mu           sync.Mutex
-	pendingDelta []float32 // guarded by mu
-	pushErr      error     // guarded by mu
-	pushes       int       // guarded by mu
+	cfg   HybridGroupConfig
+	group *nccl.Group
+	ex    *exchanger // the root's inter-group SEASGD exchange
 }
 
 // NewHybridGroup validates cfg, initializes the intra-node NCCL group, and
@@ -142,30 +123,24 @@ func NewHybridGroup(cfg HybridGroupConfig) (*HybridGroup, error) {
 	if err != nil {
 		return nil, err
 	}
-	var seed []float32
-	if cfg.Comm.Rank() == 0 {
-		seed = cfg.Nets[0].FlatWeights(nil)
-	}
-	buffers, err := SetupBuffers(cfg.Comm, cfg.Client, cfg.Job, elems, seed)
+	// The SMB world has one rank per group: the group roots'.
+	ex, err := newExchanger(cfg.Client, cfg.Job, cfg.Comm.Rank(), cfg.Comm.Size(), cfg.Nets[0],
+		mpiRendezvous{cfg.Comm}, exchangeConfig{
+			elastic:         cfg.Elastic,
+			termination:     cfg.Termination,
+			maxIterations:   cfg.MaxIterations,
+			livenessTimeout: cfg.LivenessTimeout,
+			tel:             cfg.Telemetry,
+			now:             cfg.Now,
+		})
 	if err != nil {
-		return nil, fmt.Errorf("group %d setup: %w", cfg.Comm.Rank(), err)
+		return nil, err
 	}
-	cfg.Telemetry.NameWorker(cfg.Comm.Rank())
-	g := &HybridGroup{
-		cfg:          cfg,
-		buffers:      buffers,
-		group:        group,
-		pendingDelta: make([]float32, elems),
-	}
-	if cfg.LivenessTimeout > 0 {
-		g.liveness = newLivenessTracker(cfg.Comm.Rank(), cfg.Comm.Size(), cfg.LivenessTimeout, cfg.Now)
-		g.beats = make([]int64, cfg.Comm.Size())
-	}
-	return g, nil
+	return &HybridGroup{cfg: cfg, group: group, ex: ex}, nil
 }
 
 // Buffers exposes the group's SMB view (used by hooks and diagnostics).
-func (g *HybridGroup) Buffers() *JobBuffers { return g.buffers }
+func (g *HybridGroup) Buffers() *JobBuffers { return g.ex.buffers }
 
 // Run executes HSGD until the termination criterion fires, returning the
 // group's stats. Member goroutines are managed internally. A failing
@@ -176,37 +151,16 @@ func (g *HybridGroup) Buffers() *JobBuffers { return g.buffers }
 func (g *HybridGroup) Run() (stats *GroupStats, err error) {
 	cfg := &g.cfg
 	n := len(cfg.Nets)
-	elems := g.buffers.Elems()
-	if g.liveness != nil {
-		defer func() {
-			if err != nil {
-				_ = g.buffers.MarkDead() // best-effort obituary
-			}
-		}()
-	}
+	defer func() { g.ex.obituary(err) }()
 
 	// All replicas start from the shared initial weights.
-	initWeights := make([]float32, elems)
-	if err := g.buffers.ReadGlobal(initWeights); err != nil {
+	if err := g.ex.loadInitial(cfg.Nets...); err != nil {
 		return nil, err
-	}
-	for _, net := range cfg.Nets {
-		if err := net.SetFlatWeights(initWeights); err != nil {
-			return nil, err
-		}
 	}
 
 	// Root's asynchronous update thread (same Fig. 6 overlap as SEASGD).
-	wake := make(chan struct{}, 1)
-	stopPush := make(chan struct{})
-	pushDone := make(chan struct{})
-	go g.updateThread(wake, stopPush, pushDone)
-	var stopOnce sync.Once
-	shutdown := func() {
-		stopOnce.Do(func() { close(stopPush) })
-		<-pushDone
-	}
-	defer shutdown()
+	g.ex.startUpdateThread()
+	defer g.ex.shutdown()
 
 	stats = &GroupStats{GroupRank: cfg.Comm.Rank()}
 	var wg sync.WaitGroup
@@ -225,7 +179,7 @@ func (g *HybridGroup) Run() (stats *GroupStats, err error) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			memberErr := g.runMember(m, solverFor[m], hardCap, wake, stats, stopFlag, stoppedBy)
+			memberErr := g.runMember(m, solverFor[m], hardCap, stats, stopFlag, stoppedBy)
 			if memberErr == nil {
 				return
 			}
@@ -261,33 +215,28 @@ func (g *HybridGroup) Run() (stats *GroupStats, err error) {
 	}
 	// Finish the update thread (draining any queued push) before reading
 	// the counter.
-	shutdown()
-	g.mu.Lock()
-	stats.Pushes = g.pushes
-	pushErr := g.pushErr
-	g.mu.Unlock()
+	pushes, pushErr := g.ex.shutdown()
 	if pushErr != nil {
 		return nil, fmt.Errorf("group %d update thread: %w", cfg.Comm.Rank(), pushErr)
 	}
+	stats.Pushes = pushes
 	if stoppedBy[0] == "" {
 		stoppedBy[0] = "budget"
 	}
 	stats.StoppedBy = stoppedBy[0]
-	if g.liveness != nil {
-		stats.DeadPeers = g.liveness.deadRanks(nil)
-	}
+	stats.DeadPeers = g.ex.liveness.deadRanks(nil)
 	return stats, nil
 }
 
 // runMember is the per-member training loop. Member 0 is the group root.
 func (g *HybridGroup) runMember(m int, solver *nn.SGDSolver, hardCap int,
-	wake chan<- struct{}, stats *GroupStats, stopFlag []float32, stoppedBy []string) error {
+	stats *GroupStats, stopFlag []float32, stoppedBy []string) error {
 
 	cfg := &g.cfg
 	net := cfg.Nets[m]
 	loader := cfg.Loaders[m]
 	isRoot := m == 0
-	elems := g.buffers.Elems()
+	elems := g.ex.buffers.Elems()
 	// Only the root member records spans: the group occupies one pair of
 	// tracks in the trace, mirroring the one-SMB-rank-per-group topology.
 	var tel *telemetry.Trainer
@@ -329,31 +278,12 @@ func (g *HybridGroup) runMember(m int, solver *nn.SGDSolver, hardCap int,
 
 		// (2) Root's inter-group SEASGD exchange every update_interval.
 		if iter%cfg.Elastic.UpdateInterval == 0 && isRoot {
-			spA5 := tel.Begin(mainTID, telemetry.PhaseTA5)
-			g.mu.Lock()
-			spA5.End()
-			spT1 := tel.Begin(mainTID, telemetry.PhaseT1)
-			err := g.buffers.ReadGlobal(global)
-			spT1.End()
-			if err != nil {
-				g.mu.Unlock()
+			if _, _, err := g.ex.exchange(net, local, global); err != nil {
 				return err
 			}
-			// Fused Eqs. (5)+(6): one sweep writing the increment directly
-			// into pendingDelta (we hold mu), same as Worker.Run.
-			spT2 := tel.Begin(mainTID, telemetry.PhaseT2)
-			net.FlatWeights(local)
-			err = FusedWeightStep(g.pendingDelta, local, global, cfg.Elastic.MovingRate)
-			if err == nil {
-				err = net.SetFlatWeights(local)
+			if err := g.ex.handOff(); err != nil {
+				return fmt.Errorf("group %d iter %d: %w", cfg.Comm.Rank(), iter, err)
 			}
-			spT2.End()
-			if err != nil {
-				g.mu.Unlock()
-				return err
-			}
-			g.mu.Unlock()
-			wake <- struct{}{}
 		}
 		// (3) Root broadcasts the refreshed weight W'grp to the group.
 		if iter%cfg.Elastic.UpdateInterval == 0 {
@@ -368,14 +298,6 @@ func (g *HybridGroup) runMember(m int, solver *nn.SGDSolver, hardCap int,
 			}
 		}
 
-		// Asynchronous push failures surface here.
-		g.mu.Lock()
-		pushErr := g.pushErr
-		g.mu.Unlock()
-		if pushErr != nil {
-			return fmt.Errorf("group %d update thread: %w", cfg.Comm.Rank(), pushErr)
-		}
-
 		if isRoot && cfg.Hook != nil {
 			if err := cfg.Hook(g, iter); err != nil {
 				return fmt.Errorf("group %d hook: %w", cfg.Comm.Rank(), err)
@@ -387,16 +309,10 @@ func (g *HybridGroup) runMember(m int, solver *nn.SGDSolver, hardCap int,
 		// the same iteration.
 		if (iter+1)%cfg.ProgressEvery == 0 || iter+1 >= cfg.MaxIterations {
 			if isRoot {
-				if err := g.buffers.ReportProgress(int64(iter + 1)); err != nil {
+				if err := g.ex.report(int64(iter + 1)); err != nil {
 					return err
 				}
-				if g.liveness != nil {
-					// Best-effort: ReportProgress just proved the path
-					// works; a transient beat failure only delays peers'
-					// staleness clocks.
-					_ = g.buffers.Beat(int64(iter + 1))
-				}
-				stopNow, by, err := g.checkTermination(int64(iter + 1))
+				stopNow, by, err := g.ex.shouldStop(int64(iter + 1))
 				if err != nil {
 					return err
 				}
@@ -424,125 +340,4 @@ func (g *HybridGroup) runMember(m int, solver *nn.SGDSolver, hardCap int,
 		stats.Iterations = hardCap
 	}
 	return nil
-}
-
-func (g *HybridGroup) checkTermination(completed int64) (bool, string, error) {
-	cfg := &g.cfg
-	if cfg.Termination == StopIndependently {
-		if completed >= int64(cfg.MaxIterations) {
-			return true, "budget", nil
-		}
-		return false, "", nil
-	}
-	if stop, err := g.buffers.StopRequested(); err != nil {
-		return false, "", err
-	} else if stop {
-		return true, "flag", nil
-	}
-	progress, err := g.buffers.Progress()
-	if err != nil {
-		return false, "", err
-	}
-	var alive []bool
-	if g.liveness != nil {
-		if err := g.buffers.HeartbeatsInto(g.beats); err == nil {
-			alive = g.liveness.observe(g.beats)
-		} else {
-			// Stale-but-safe: reuse the previous view (death is monotone,
-			// so a worker already declared dead stays excluded).
-			alive = g.liveness.alive
-		}
-	}
-	if cfg.Termination.ShouldStopAlive(progress, alive, int64(cfg.MaxIterations)) {
-		if err := g.buffers.SignalStop(); err != nil {
-			return false, "", err
-		}
-		return true, cfg.Termination.String(), nil
-	}
-	return false, "", nil
-}
-
-func (g *HybridGroup) pushPending() error {
-	tel := g.cfg.Telemetry
-	rank := g.cfg.Comm.Rank()
-	tid := telemetry.UpdateTID(rank)
-	spA1 := tel.Begin(tid, telemetry.PhaseTA1)
-	g.mu.Lock()
-	spA1.End()
-	defer g.mu.Unlock()
-	// Same cross-process trace rooting as Worker.pushPending: the group
-	// root's T.A3 span anchors the server-side children of this push.
-	var tc telemetry.TraceContext
-	if carrier := g.buffers.TraceCarrier(); tel != nil && carrier != nil {
-		id := telemetry.NextSpanID(uint64(rank+1) << 48)
-		tc = telemetry.TraceContext{TraceID: id, SpanID: id}
-		carrier.SetTraceContext(smb.TraceContext{
-			TraceID: id, SpanID: id, Rank: uint32(rank), Iter: uint32(g.pushes),
-		})
-		defer carrier.ClearTraceContext()
-	}
-	if g.buffers.CanStreamPush() {
-		// Chunk-pipelined WRITE+ACCUMULATE; see Worker.pushPending for the
-		// span convention (T.A2 = staging, T.A3 = streamed store+fold).
-		spA2 := tel.Begin(tid, telemetry.PhaseTA2)
-		err := g.buffers.StageIncrement(g.pendingDelta)
-		spA2.End()
-		if err != nil {
-			return err
-		}
-		spA3 := tel.BeginTraced(tid, telemetry.PhaseTA3, tc)
-		err = g.buffers.StreamStaged()
-		spA3.End()
-		if err != nil {
-			return err
-		}
-	} else {
-		spA2 := tel.Begin(tid, telemetry.PhaseTA2)
-		err := g.buffers.WriteIncrement(g.pendingDelta)
-		spA2.End()
-		if err != nil {
-			return err
-		}
-		spA3 := tel.BeginTraced(tid, telemetry.PhaseTA3, tc)
-		err = g.buffers.AccumulateIncrement()
-		spA3.End()
-		if err != nil {
-			return err
-		}
-	}
-	spA4 := tel.Begin(tid, telemetry.PhaseTA4)
-	g.pushes++
-	tel.IncPush()
-	spA4.End()
-	return nil
-}
-
-func (g *HybridGroup) updateThread(wake <-chan struct{}, stop <-chan struct{}, done chan<- struct{}) {
-	defer close(done)
-	for {
-		select {
-		case <-wake:
-			if err := g.pushPending(); err != nil {
-				g.mu.Lock()
-				if g.pushErr == nil {
-					g.pushErr = err
-				}
-				g.mu.Unlock()
-				return
-			}
-		case <-stop:
-			select {
-			case <-wake:
-				if err := g.pushPending(); err != nil {
-					g.mu.Lock()
-					if g.pushErr == nil {
-						g.pushErr = err
-					}
-					g.mu.Unlock()
-				}
-			default:
-			}
-			return
-		}
-	}
 }

@@ -112,8 +112,12 @@ func (t *livenessTracker) declareDead(i int) {
 	}
 }
 
-// deadRanks appends the ranks currently considered dead to dst.
+// deadRanks appends the ranks currently considered dead to dst (none when
+// liveness tracking is off, i.e. t is nil).
 func (t *livenessTracker) deadRanks(dst []int) []int {
+	if t == nil {
+		return dst
+	}
 	for i, a := range t.alive {
 		if !a {
 			dst = append(dst, i)

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -96,6 +97,17 @@ func TestHybridTelemetryPhases(t *testing.T) {
 		if !seen[want] {
 			t.Errorf("hybrid run missing %s spans (saw %v)", want, seen)
 		}
+	}
+	// The group root runs the same exchange engine as a Worker, so every
+	// T1 read observes the inter-group staleness too.
+	var b strings.Builder
+	if err := reg.WritePrometheus(&b); err != nil {
+		t.Fatal(err)
+	}
+	line := grepLines(b.String(), "seasgd_t1_staleness_iterations_count")
+	var n int
+	if _, err := fmt.Sscanf(line, "seasgd_t1_staleness_iterations_count %d", &n); err != nil || n == 0 {
+		t.Errorf("hybrid root recorded no T1 staleness observations: %q", line)
 	}
 }
 

@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"runtime"
-	"sync"
 	"time"
 
 	"shmcaffe/internal/dataset"
@@ -78,19 +77,24 @@ func (c *WorkerConfig) validateCommon() error {
 	if c.Client == nil || c.Net == nil || c.Loader == nil {
 		return fmt.Errorf("worker needs client, net and loader: %w", ErrConfig)
 	}
-	if c.Job == "" {
-		return fmt.Errorf("worker needs a job name: %w", ErrConfig)
+	return validateRun(c.Job, c.MaxIterations, c.Elastic, c.Solver, c.Termination)
+}
+
+// validateRun checks the settings a Worker and a HybridGroup share.
+func validateRun(job string, maxIterations int, elastic ElasticConfig, solver nn.SolverConfig, term TerminationPolicy) error {
+	if job == "" {
+		return fmt.Errorf("training needs a job name: %w", ErrConfig)
 	}
-	if c.MaxIterations < 1 {
-		return fmt.Errorf("max iterations %d < 1: %w", c.MaxIterations, ErrConfig)
+	if maxIterations < 1 {
+		return fmt.Errorf("max iterations %d < 1: %w", maxIterations, ErrConfig)
 	}
-	if err := c.Elastic.Validate(); err != nil {
+	if err := elastic.Validate(); err != nil {
 		return err
 	}
-	if err := c.Solver.Validate(); err != nil {
+	if err := solver.Validate(); err != nil {
 		return err
 	}
-	return c.Termination.Validate()
+	return term.Validate()
 }
 
 // RunStats reports one worker's training outcome, including the Eq. (8)
@@ -121,28 +125,9 @@ type RunStats struct {
 // Worker runs SEASGD training for one rank. Create with NewWorker, then
 // call Run once.
 type Worker struct {
-	cfg     WorkerConfig
-	rank    int
-	buffers *JobBuffers
-	solver  *nn.SGDSolver
-
-	// Exchange state shared between the main and update threads; mu is
-	// the Fig. 6 lock making T1+T2 and T.A1–T.A4 mutually exclusive.
-	mu           sync.Mutex
-	pendingDelta []float32 // guarded by mu
-	cachedGlobal []float32 // HideGlobalRead mode: last Wg seen; guarded by mu
-	pushErr      error     // guarded by mu
-	pushes       int       // guarded by mu
-
-	// Staleness probe scratch (telemetry only): progress counters seen at
-	// the previous and current T1 read. Used by the main thread under mu.
-	lastProgress []int64
-	progressNow  []int64
-
-	// Liveness view (LivenessTimeout > 0 only); used by the main thread
-	// during termination checks.
-	liveness *livenessTracker
-	beats    []int64
+	cfg    WorkerConfig
+	solver *nn.SGDSolver
+	ex     *exchanger
 }
 
 // NewWorker validates cfg and performs the collective buffer bootstrap
@@ -151,68 +136,45 @@ func NewWorker(cfg WorkerConfig) (*Worker, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
+	return newWorker(cfg, cfg.Comm.Rank(), cfg.Comm.Size(), mpiRendezvous{cfg.Comm})
+}
+
+// newWorker bootstraps the buffers through rv and finishes construction;
+// NewWorker and NewWorkerPolling differ only in the rendezvous.
+func newWorker(cfg WorkerConfig, rank, world int, rv rendezvous) (*Worker, error) {
 	if cfg.ProgressEvery < 1 {
 		cfg.ProgressEvery = 1
 	}
 	if cfg.Now == nil {
 		cfg.Now = time.Now
 	}
-	elems := cfg.Net.NumParams()
-	// Rank 0's current replica weights seed Wg.
-	var seed []float32
-	if cfg.Comm.Rank() == 0 {
-		seed = cfg.Net.FlatWeights(nil)
-	}
-	buffers, err := SetupBuffers(cfg.Comm, cfg.Client, cfg.Job, elems, seed)
+	ex, err := newExchanger(cfg.Client, cfg.Job, rank, world, cfg.Net, rv, exchangeConfig{
+		elastic:         cfg.Elastic,
+		termination:     cfg.Termination,
+		maxIterations:   cfg.MaxIterations,
+		livenessTimeout: cfg.LivenessTimeout,
+		hideGlobalRead:  cfg.HideGlobalRead,
+		tel:             cfg.Telemetry,
+		now:             cfg.Now,
+	})
 	if err != nil {
-		return nil, fmt.Errorf("rank %d setup: %w", cfg.Comm.Rank(), err)
+		return nil, err
 	}
-	cfg.Telemetry.NameWorker(cfg.Comm.Rank())
-	return newWorkerFromBuffers(cfg, cfg.Comm.Rank(), buffers), nil
-}
-
-// newWorkerFromBuffers finishes construction once the buffer bootstrap
-// (MPI-collective or polling) has produced the JobBuffers.
-func newWorkerFromBuffers(cfg WorkerConfig, rank int, buffers *JobBuffers) *Worker {
-	elems := buffers.Elems()
-	w := &Worker{
-		cfg:          cfg,
-		rank:         rank,
-		buffers:      buffers,
-		solver:       nn.NewSGDSolver(cfg.Net, cfg.Solver),
-		pendingDelta: make([]float32, elems),
-		cachedGlobal: make([]float32, elems),
-		lastProgress: make([]int64, buffers.WorldSize()),
-		progressNow:  make([]int64, buffers.WorldSize()),
-	}
-	if cfg.LivenessTimeout > 0 {
-		w.liveness = newLivenessTracker(rank, buffers.WorldSize(), cfg.LivenessTimeout, cfg.Now)
-		w.beats = make([]int64, buffers.WorldSize())
-	}
-	return w
+	return &Worker{cfg: cfg, solver: nn.NewSGDSolver(cfg.Net, cfg.Solver), ex: ex}, nil
 }
 
 // Buffers exposes the worker's SMB view (used by tests and diagnostics).
-func (w *Worker) Buffers() *JobBuffers { return w.buffers }
+func (w *Worker) Buffers() *JobBuffers { return w.ex.buffers }
 
 // Run executes the SEASGD training loop (Fig. 6) until the termination
 // criterion fires. It must be called exactly once.
 func (w *Worker) Run() (stats *RunStats, err error) {
-	if w.liveness != nil {
-		// Obituary on the way out of a failed run: peers see the tombstone
-		// at their next check instead of burning a liveness timeout.
-		// Best-effort — a worker dying because the server is unreachable
-		// cannot write it, which is exactly the case staleness covers.
-		defer func() {
-			if err != nil {
-				w.buffers.MarkDead()
-			}
-		}()
-	}
+	ex := w.ex
+	defer func() { ex.obituary(err) }()
 	cfg := &w.cfg
-	rank := w.rank
+	rank := ex.rank
 	stats = &RunStats{Rank: rank}
-	elems := w.buffers.Elems()
+	elems := ex.buffers.Elems()
 	tel := cfg.Telemetry
 	mainTID := telemetry.MainTID(rank)
 
@@ -221,31 +183,14 @@ func (w *Worker) Run() (stats *RunStats, err error) {
 
 	// Start from the shared initial weights so every replica of the job
 	// begins at Wg (the master seeded it).
-	if err := w.buffers.ReadGlobal(global); err != nil {
+	if err := ex.loadInitial(cfg.Net); err != nil {
 		return nil, err
 	}
-	if err := cfg.Net.SetFlatWeights(global); err != nil {
-		return nil, err
-	}
-	copy(w.cachedGlobal, global)
 
-	// Spawn the update thread (Fig. 6). wake carries one pending push;
-	// capacity 1 so a second wake while a push is in flight blocks the
-	// main thread — the T.A5 back-pressure.
-	wake := make(chan struct{}, 1)
-	stop := make(chan struct{})
-	done := make(chan struct{})
 	if !cfg.DisableOverlap {
-		go w.updateThread(wake, stop, done)
-	} else {
-		close(done)
+		ex.startUpdateThread()
 	}
-	var stopOnce sync.Once
-	shutdown := func() {
-		stopOnce.Do(func() { close(stop) })
-		<-done
-	}
-	defer shutdown()
+	defer ex.shutdown()
 
 	hardCap := cfg.MaxIterations * 100
 	stoppedBy := "budget"
@@ -253,50 +198,13 @@ func (w *Worker) Run() (stats *RunStats, err error) {
 loop:
 	for ; iter < hardCap; iter++ {
 		if iter%cfg.Elastic.UpdateInterval == 0 {
-			// T.A5: the main thread blocks here whenever the update
-			// thread's previous push outlived the compute phase.
-			t0 := cfg.Now()
-			spA5 := tel.Begin(mainTID, telemetry.PhaseTA5)
-			w.mu.Lock()
-			spA5.End()
-			tLocked := cfg.Now()
-			// T1: obtain the global weight. Hidden-read mode serves T2
-			// straight from cachedGlobal (we hold mu; the fused step only
-			// reads it), so even the staging copy is gone.
-			spT1 := tel.Begin(mainTID, telemetry.PhaseT1)
-			var readErr error
-			wg := global
-			if cfg.HideGlobalRead {
-				wg = w.cachedGlobal
-				tel.HiddenHit()
-			} else {
-				readErr = w.buffers.ReadGlobal(global)
+			// T.A5 + T1 + T2 on the main thread.
+			blocked, exposed, err := ex.exchange(cfg.Net, local, global)
+			if err != nil {
+				return nil, fmt.Errorf("rank %d iter %d: %w", rank, iter, err)
 			}
-			w.observeStaleness()
-			spT1.End()
-			if readErr != nil {
-				w.mu.Unlock()
-				return nil, fmt.Errorf("rank %d iter %d: %w", rank, iter, readErr)
-			}
-			// T2: elastic update of the local weight, Eqs. (5)+(6), fused
-			// into one sweep that writes the increment directly into
-			// pendingDelta — the former per-exchange handoff copy to the
-			// update thread is gone.
-			spT2 := tel.Begin(mainTID, telemetry.PhaseT2)
-			cfg.Net.FlatWeights(local)
-			t2err := FusedWeightStep(w.pendingDelta, local, wg, cfg.Elastic.MovingRate)
-			if t2err == nil {
-				t2err = cfg.Net.SetFlatWeights(local)
-			}
-			spT2.End()
-			if t2err != nil {
-				w.mu.Unlock()
-				return nil, t2err
-			}
-			w.mu.Unlock()
-			t1 := cfg.Now()
-			stats.BlockedTime += tLocked.Sub(t0)
-			stats.ExposedCommTime += t1.Sub(tLocked)
+			stats.BlockedTime += blocked
+			stats.ExposedCommTime += exposed
 
 			// T3: hand the increment to the update thread — or push
 			// inline in the no-overlap ablation.
@@ -305,12 +213,12 @@ loop:
 				// The push runs inline on the main thread in this
 				// ablation, so its spans land on the main track —
 				// rendering the lost overlap visibly in the trace.
-				if err := w.pushPending(mainTID); err != nil {
+				if err := ex.push(mainTID); err != nil {
 					return nil, fmt.Errorf("rank %d iter %d push: %w", rank, iter, err)
 				}
 				stats.ExposedCommTime += cfg.Now().Sub(tp0)
-			} else {
-				wake <- struct{}{}
+			} else if err := ex.handOff(); err != nil {
+				return nil, fmt.Errorf("rank %d iter %d: %w", rank, iter, err)
 			}
 		}
 
@@ -327,33 +235,20 @@ loop:
 		stats.LossHistory = append(stats.LossHistory, loss)
 		tel.IncIteration()
 
-		// Check for an asynchronous push failure.
-		w.mu.Lock()
-		pushErr := w.pushErr
-		w.mu.Unlock()
-		if pushErr != nil {
-			return nil, fmt.Errorf("rank %d update thread: %w", rank, pushErr)
-		}
-
 		if cfg.Hook != nil {
 			if err := cfg.Hook(w, iter); err != nil {
 				return nil, fmt.Errorf("rank %d hook: %w", rank, err)
 			}
 		}
 
-		// Progress sharing and termination alignment (Sec. III-E).
+		// Progress sharing (and heartbeat) every iteration; termination
+		// alignment (Sec. III-E) every ProgressEvery.
 		completed := int64(iter + 1)
-		if err := w.buffers.ReportProgress(completed); err != nil {
+		if err := ex.report(completed); err != nil {
 			return nil, err
 		}
-		if w.liveness != nil {
-			// Heartbeat rides the same cadence as progress. Best-effort:
-			// the ReportProgress just above already surfaced any genuine
-			// transport failure.
-			w.buffers.Beat(completed)
-		}
 		if (iter+1)%cfg.ProgressEvery == 0 || iter+1 >= cfg.MaxIterations {
-			stopNow, by, err := w.checkTermination(completed)
+			stopNow, by, err := ex.shouldStop(completed)
 			if err != nil {
 				return nil, err
 			}
@@ -373,192 +268,13 @@ loop:
 
 	stats.Iterations = iter
 	stats.StoppedBy = stoppedBy
-	if w.liveness != nil {
-		stats.DeadPeers = w.liveness.deadRanks(nil)
-	}
+	stats.DeadPeers = ex.liveness.deadRanks(nil)
 	// Finish the update thread (including any queued final push) before
 	// reading the push counter, so the count is exact.
-	shutdown()
-	w.mu.Lock()
-	stats.Pushes = w.pushes
-	pushErr := w.pushErr
-	w.mu.Unlock()
+	pushes, pushErr := ex.shutdown()
 	if pushErr != nil {
 		return nil, fmt.Errorf("rank %d update thread: %w", rank, pushErr)
 	}
+	stats.Pushes = pushes
 	return stats, nil
-}
-
-// checkTermination evaluates the alignment criterion.
-func (w *Worker) checkTermination(completed int64) (bool, string, error) {
-	cfg := &w.cfg
-	if cfg.Termination == StopIndependently {
-		if completed >= int64(cfg.MaxIterations) {
-			return true, "budget", nil
-		}
-		return false, "", nil
-	}
-	// A raised stop flag overrides everything.
-	if stop, err := w.buffers.StopRequested(); err != nil {
-		return false, "", err
-	} else if stop {
-		return true, "flag", nil
-	}
-	progress, err := w.buffers.Progress()
-	if err != nil {
-		return false, "", err
-	}
-	// Liveness view: exclude dead peers from the predicate so a crashed
-	// worker's frozen counter cannot hold the survivors hostage. A failed
-	// heartbeat read keeps the previous view (stale but safe: death is
-	// monotone, so the view can only lag, never flap back to alive).
-	var alive []bool
-	if w.liveness != nil {
-		if err := w.buffers.HeartbeatsInto(w.beats); err == nil {
-			alive = w.liveness.observe(w.beats)
-		} else {
-			alive = w.liveness.alive
-		}
-	}
-	if cfg.Termination.ShouldStopAlive(progress, alive, int64(cfg.MaxIterations)) {
-		// Raise the flag so stragglers stop at their next check even if
-		// their own predicate evaluation lags.
-		if err := w.buffers.SignalStop(); err != nil {
-			return false, "", err
-		}
-		return true, cfg.Termination.String(), nil
-	}
-	return false, "", nil
-}
-
-// observeStaleness records how many iterations the other workers completed
-// since this worker's previous T1 read — the per-read staleness bound that
-// governs asynchronous SEASGD convergence. Caller holds w.mu. Telemetry off
-// or a probe failure records nothing (the probe must never fail training).
-func (w *Worker) observeStaleness() {
-	tel := w.cfg.Telemetry
-	if tel == nil {
-		return
-	}
-	if err := w.buffers.ProgressInto(w.progressNow); err != nil {
-		return
-	}
-	var stale int64
-	for y, now := range w.progressNow {
-		if y == w.rank {
-			continue
-		}
-		if d := now - w.lastProgress[y]; d > 0 {
-			stale += d
-		}
-	}
-	tel.ObserveStaleness(stale)
-	copy(w.lastProgress, w.progressNow)
-}
-
-// pushPending sends the pending increment to the server under the lock,
-// recording the T.A1–T.A4 spans on track tid (the update thread normally;
-// the main track in the DisableOverlap ablation).
-func (w *Worker) pushPending(tid int32) error {
-	tel := w.cfg.Telemetry
-	// T.A1: acquire the exchange lock.
-	spA1 := tel.Begin(tid, telemetry.PhaseTA1)
-	w.mu.Lock()
-	spA1.End()
-	defer w.mu.Unlock()
-	// Cross-process trace: when the client can carry trace contexts on its
-	// wire frames, root a fresh trace at this push. The T.A3 span below is
-	// the root; the server's srv.dispatch/srv.acc/srv.chunk spans for the
-	// frames of this push become its children in the merged fleet trace.
-	var tc telemetry.TraceContext
-	if carrier := w.buffers.TraceCarrier(); tel != nil && carrier != nil {
-		id := telemetry.NextSpanID(uint64(w.rank+1) << 48)
-		tc = telemetry.TraceContext{TraceID: id, SpanID: id}
-		carrier.SetTraceContext(smb.TraceContext{
-			TraceID: id, SpanID: id, Rank: uint32(w.rank), Iter: uint32(w.pushes),
-		})
-		defer carrier.ClearTraceContext()
-	}
-	if w.buffers.CanStreamPush() {
-		// Chunk-pipelined push: the server folds chunk k into Wg while
-		// chunk k+1 is on the wire, so the segment store rides inside the
-		// accumulate. The T.A2 span now covers staging ΔWx and T.A3 the
-		// streamed store+fold — the phase boundary the pipeline blurs by
-		// design; the trace shows T.A2 shrinking to the encode cost.
-		spA2 := tel.Begin(tid, telemetry.PhaseTA2)
-		err := w.buffers.StageIncrement(w.pendingDelta)
-		spA2.End()
-		if err != nil {
-			return err
-		}
-		spA3 := tel.BeginTraced(tid, telemetry.PhaseTA3, tc)
-		err = w.buffers.StreamStaged()
-		spA3.End()
-		if err != nil {
-			return err
-		}
-	} else {
-		// T.A2: store ΔWx into the worker's increment segment.
-		spA2 := tel.Begin(tid, telemetry.PhaseTA2)
-		err := w.buffers.WriteIncrement(w.pendingDelta)
-		spA2.End()
-		if err != nil {
-			return err
-		}
-		// T.A3: server-side accumulate Wg += ΔWx (Eq. 7).
-		spA3 := tel.BeginTraced(tid, telemetry.PhaseTA3, tc)
-		err = w.buffers.AccumulateIncrement()
-		spA3.End()
-		if err != nil {
-			return err
-		}
-	}
-	// T.A4: bookkeeping tail (and the cached-Wg refresh in hidden-read
-	// mode — done here precisely because this phase is off the critical
-	// path).
-	spA4 := tel.Begin(tid, telemetry.PhaseTA4)
-	w.pushes++
-	tel.IncPush()
-	var err error
-	if w.cfg.HideGlobalRead {
-		err = w.buffers.ReadGlobal(w.cachedGlobal)
-		tel.HiddenRefresh()
-	}
-	spA4.End()
-	return err
-}
-
-// updateThread is the Fig. 6 update thread: blocked until woken (T3), then
-// T.A1 store increment, T.A2 request accumulation, T.A4 release, repeat.
-func (w *Worker) updateThread(wake <-chan struct{}, stop <-chan struct{}, done chan<- struct{}) {
-	defer close(done)
-	tid := telemetry.UpdateTID(w.rank)
-	for {
-		select {
-		case <-wake:
-			if err := w.pushPending(tid); err != nil {
-				w.mu.Lock()
-				if w.pushErr == nil {
-					w.pushErr = err
-				}
-				w.mu.Unlock()
-				return
-			}
-		case <-stop:
-			// Drain a queued wake so the final increment of the run is
-			// not silently dropped.
-			select {
-			case <-wake:
-				if err := w.pushPending(tid); err != nil {
-					w.mu.Lock()
-					if w.pushErr == nil {
-						w.pushErr = err
-					}
-					w.mu.Unlock()
-				}
-			default:
-			}
-			return
-		}
-	}
 }

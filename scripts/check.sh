@@ -58,11 +58,12 @@ tier2() {
 	echo "== tier 2: allocation regression guard =="
 	# Pins the zero-alloc contract of the SMB hot path (Store and
 	# StreamClient Read/Write/Accumulate, the chunked WRITE+ACCUMULATE
-	# sequence, pooled wire scratch), the fused worker exchange step, and
-	# the pooled parallel.For/ForRanger dispatch.
+	# sequence, pooled wire scratch), the fused worker exchange step, the
+	# exchange engine's traced push and staleness probe, and the pooled
+	# parallel.For/ForRanger dispatch.
 	go test -run='TestSteadyStateZeroAlloc|TestReadInt64Slots|TestSnapReadZeroAlloc' -count=1 ./internal/smb
 	go test -run='TestRecordingZeroAlloc|TestSpanZeroAlloc|TestEventRecordZeroAlloc' -count=1 ./internal/telemetry
-	go test -run='TestFusedStepAndStreamZeroAlloc' -count=1 ./internal/core
+	go test -run='TestFusedStepAndStreamZeroAlloc|TestExchangePushZeroAlloc' -count=1 ./internal/core
 	go test -run='TestForRangerZeroAlloc|TestForZeroAlloc|TestFreelist' -count=1 ./internal/parallel
 	go test -run='ZeroAllocAcrossGC|TestDispatchedKernelsZeroAlloc' -count=1 ./internal/tensor
 	echo "== tier 2: pipelined-transfer smoke (chunked WRITE+ACCUMULATE over TCP) =="
