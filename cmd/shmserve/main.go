@@ -58,7 +58,7 @@ func run(args []string) error {
 	fs := flag.NewFlagSet("shmserve", flag.ContinueOnError)
 	var (
 		addr       = fs.String("addr", "127.0.0.1:7700", "SMB server address the trainer writes Wg to")
-		transport  = fs.String("transport", "auto", "SMB transport: auto, tcp, tcp_sg or shm")
+		transport  = fs.String("transport", "auto", "SMB transport: auto or a registered transport (tcp, shm)")
 		job        = fs.String("job", "mpjob", "job name whose global weight segment to serve")
 		features   = fs.Int("features", 8, "model input features (must match the trainer)")
 		hidden     = fs.Int("hidden", 16, "model hidden width (must match the trainer)")
@@ -150,35 +150,28 @@ func net2Listen(addr string) (net.Listener, error) { return net.Listen("tcp", ad
 // negotiation the trainer uses, minus the experimental endpoints).
 func dialSMB(addr, transport string, opTimeout time.Duration) (smb.Client, func(), string, error) {
 	opts := smb.DialOptions{Addr: addr, OpTimeout: opTimeout, Seed: 104729, ClientID: 104729}
-	probe := func(c smb.Client) error {
-		if _, err := c.Lookup("\x00reachability-probe"); err != nil && !errors.Is(err, smb.ErrUnknownSegment) {
-			c.Close()
-			return err
-		}
-		return nil
+	var (
+		c    smb.Client
+		name = transport
+		err  error
+	)
+	if transport == "" || transport == "auto" {
+		c, name, err = smb.DialAuto(opts)
+	} else {
+		// The registry is the only judge of the name: an unknown one fails
+		// there, listing what is registered.
+		c, err = smb.DialTransport(transport, opts)
 	}
-	switch transport {
-	case "tcp", "tcp_sg", "shm":
-		c, err := smb.DialTransport(transport, opts)
-		if err != nil {
-			return nil, nil, "", err
-		}
-		if err := probe(c); err != nil {
-			return nil, nil, "", err
-		}
-		return c, func() { c.Close() }, transport, nil
-	case "", "auto":
-		c, name, err := smb.DialAuto(opts)
-		if err != nil {
-			return nil, nil, "", err
-		}
-		if err := probe(c); err != nil {
-			return nil, nil, "", err
-		}
-		return c, func() { c.Close() }, name, nil
-	default:
-		return nil, nil, "", fmt.Errorf("unknown transport %q (want auto, tcp, tcp_sg or shm)", transport)
+	if err != nil {
+		return nil, nil, "", err
 	}
+	// Supervised clients dial lazily; probe now so a bad address fails
+	// here instead of deep inside the segment wait.
+	if _, err := c.Lookup("\x00reachability-probe"); err != nil && !errors.Is(err, smb.ErrUnknownSegment) {
+		c.Close()
+		return nil, nil, "", err
+	}
+	return c, func() { c.Close() }, name, nil
 }
 
 // waitForSegment polls for the trainer's weight segment: the frontend is

@@ -54,7 +54,7 @@ func run(args []string, out io.Writer) (err error) {
 		interval     = fs.Int("update-interval", 1, "SEASGD update_interval")
 		seed         = fs.Uint64("seed", 42, "experiment seed")
 		smbAddr      = fs.String("smb", "", "external SMB server address (shmcaffe platforms)")
-		smbTransport = fs.String("smb-transport", "tcp", "SMB wire: tcp | tcp_sg | shm | auto | rds")
+		smbTransport = fs.String("smb-transport", "tcp", "SMB wire: rds or a registered transport (tcp, shm, auto)")
 		smbTimeout   = fs.Duration("smb-timeout", 10*time.Second, "per-op SMB deadline for TCP clients (0 = no deadlines)")
 		liveness     = fs.Duration("liveness-timeout", 0, "exclude workers silent this long from termination alignment (0 = fault-free protocol)")
 		noOverlap    = fs.Bool("no-overlap", false, "multi-process mode: push global updates inline instead of overlapping them with compute (deterministic; the Fig. 6 ablation)")

@@ -170,19 +170,6 @@ func dialSMB(addr, transport string, rank int, opTimeout time.Duration) (smb.Cli
 		return nil
 	}
 	switch transport {
-	case "", "tcp", "tcp_sg", "shm":
-		name := transport
-		if name == "" {
-			name = "tcp"
-		}
-		c, err := smb.DialTransport(name, opts)
-		if err != nil {
-			return nil, nil, "", err
-		}
-		if err := probe(c); err != nil {
-			return nil, nil, "", err
-		}
-		return c, func() { c.Close() }, name, nil
 	case "auto":
 		c, name, err := smb.DialAuto(opts)
 		if err != nil {
@@ -205,6 +192,19 @@ func dialSMB(addr, transport string, rank int, opTimeout time.Duration) (smb.Cli
 		c := smb.NewStreamClient(conn)
 		return c, func() { c.Close(); ep.Close() }, "rds", nil
 	default:
-		return nil, nil, "", fmt.Errorf("unknown SMB transport %q", transport)
+		// The registry resolves every other name and is the only judge of
+		// it: an unknown one fails there, listing what is registered.
+		name := transport
+		if name == "" {
+			name = "tcp"
+		}
+		c, err := smb.DialTransport(name, opts)
+		if err != nil {
+			return nil, nil, "", err
+		}
+		if err := probe(c); err != nil {
+			return nil, nil, "", err
+		}
+		return c, func() { c.Close() }, name, nil
 	}
 }

@@ -425,7 +425,7 @@ func KernelBench(quick bool) (*KernelReport, error) {
 		}
 	}
 
-	// Transport rows (tcp / tcp_sg / shm push+accumulate) and the
+	// Transport rows (tcp / shm push+accumulate) and the
 	// cross-transport speedups at 1 MiB.
 	if err := transportKernelRows(rep, quick); err != nil {
 		return nil, err

@@ -335,6 +335,9 @@ func (e *exchanger) shouldStop(completed int64) (bool, string, error) {
 	if stop, err := e.buffers.StopRequested(); err != nil {
 		return false, "", err
 	} else if stop {
+		// The peer that raised the flag may have seen a death this rank
+		// has not yet: refresh the view so the exit's DeadPeers has it.
+		e.observeLiveness()
 		return true, "flag", nil
 	}
 	progress, err := e.buffers.Progress()
@@ -342,17 +345,8 @@ func (e *exchanger) shouldStop(completed int64) (bool, string, error) {
 		return false, "", err
 	}
 	// Liveness view: exclude dead peers from the predicate so a crashed
-	// rank's frozen counter cannot hold the survivors hostage. A failed
-	// heartbeat read keeps the previous view (stale but safe: death is
-	// monotone, so the view can only lag, never flap back to alive).
-	var alive []bool
-	if e.liveness != nil {
-		if err := e.buffers.HeartbeatsInto(e.beats); err == nil {
-			alive = e.liveness.observe(e.beats)
-		} else {
-			alive = e.liveness.alive
-		}
-	}
+	// rank's frozen counter cannot hold the survivors hostage.
+	alive := e.observeLiveness()
 	if term.ShouldStopAlive(progress, alive, target) {
 		// Raise the flag so stragglers stop at their next check even if
 		// their own predicate evaluation lags.
@@ -362,6 +356,20 @@ func (e *exchanger) shouldStop(completed int64) (bool, string, error) {
 		return true, term.String(), nil
 	}
 	return false, "", nil
+}
+
+// observeLiveness refreshes the liveness view from the heartbeat block
+// (nil with liveness tracking off). A failed heartbeat read keeps the
+// previous view (stale but safe: death is monotone, so the view can only
+// lag, never flap back to alive).
+func (e *exchanger) observeLiveness() []bool {
+	if e.liveness == nil {
+		return nil
+	}
+	if err := e.buffers.HeartbeatsInto(e.beats); err != nil {
+		return e.liveness.alive
+	}
+	return e.liveness.observe(e.beats)
 }
 
 // obituary writes this rank's tombstone when a run with liveness tracking

@@ -242,3 +242,46 @@ func TestExchangePushZeroAlloc(t *testing.T) {
 		t.Error("push left its trace context stamped on the client")
 	}
 }
+
+// TestStopFlagRefreshesLiveness: a rank that stops on a peer's stop flag
+// still reports the death that made the peer raise it. Rank 0 writes its
+// tombstone, rank 1 raises the flag, and rank 2 — which never checked the
+// heartbeats before — must list rank 0 in its dead peers.
+func TestStopFlagRefreshesLiveness(t *testing.T) {
+	const n = 3
+	client := smb.NewLocalClient(smb.NewStore())
+	ex := make([]*exchanger, n)
+	errs := make([]error, n)
+	var wg sync.WaitGroup
+	for r := 0; r < n; r++ {
+		wg.Add(1)
+		go func(r int) {
+			defer wg.Done()
+			net, err := nn.MLP("live", 4, 4, 2)
+			if err != nil {
+				errs[r] = err
+				return
+			}
+			ex[r], errs[r] = newExchanger(client, "live", r, n, net, newPollRendezvous(client, "live", r, n, BootstrapOptions{}),
+				exchangeConfig{elastic: DefaultElasticConfig(), termination: StopOnMaster, maxIterations: 30,
+					livenessTimeout: 10 * time.Second, now: time.Now})
+		}(r)
+	}
+	wg.Wait()
+	for r, err := range errs {
+		if err != nil {
+			t.Fatalf("rank %d: %v", r, err)
+		}
+	}
+	ex[0].obituary(errors.New("crashed"))
+	if err := ex[1].buffers.SignalStop(); err != nil {
+		t.Fatal(err)
+	}
+	stop, by, err := ex[2].shouldStop(5)
+	if err != nil || !stop || by != "flag" {
+		t.Fatalf("shouldStop = (%v, %q, %v), want (true, flag, nil)", stop, by, err)
+	}
+	if dead := ex[2].liveness.deadRanks(nil); len(dead) != 1 || dead[0] != 0 {
+		t.Fatalf("rank 2 dead peers = %v, want [0]", dead)
+	}
+}

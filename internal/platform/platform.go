@@ -69,12 +69,13 @@ type Config struct {
 	// external SMB server instead of an in-process store; each worker
 	// dials its own connection, like a real deployment.
 	SMBAddr string
-	// SMBTransport selects the wire for SMBAddr: "tcp" (default),
-	// "tcp_sg" (TCP with scatter-gather writev and direct-landing reads),
-	// "shm" (cross-process shared memory; requires a co-located server
-	// exporting memfd segments), "auto" (negotiate shm, fall back to tcp),
-	// or "rds" (the reliable-datagram transport of internal/rds, the
-	// paper's RDS-based communication module).
+	// SMBTransport selects the wire for SMBAddr: "rds" (the
+	// reliable-datagram transport of internal/rds, the paper's RDS-based
+	// communication module) or any name in smb.TransportNames(), which
+	// alone validates it — "tcp" (default; vectored writev and
+	// direct-landing reads), "shm" (cross-process shared memory; requires a
+	// co-located server exporting memfd segments), "auto" (negotiate shm,
+	// fall back to tcp).
 	SMBTransport string
 	// Job names the SMB segment family; required when several runs share
 	// one external server. Defaults to the platform's short name.

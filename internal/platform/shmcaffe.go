@@ -254,8 +254,43 @@ func smbClients(cfg *Config, n int) (clients []smb.Client, closeAll func(), err 
 		}
 		return nil, nil, err
 	}
-	switch cfg.SMBTransport {
-	case "", "tcp", "tcp_sg", "auto":
+	if cfg.SMBTransport == "rds" {
+		for i := range clients {
+			ep, err := rds.ListenUDP("127.0.0.1:0")
+			if err != nil {
+				return fail(i, err)
+			}
+			conn, err := ep.Dial(cfg.SMBAddr)
+			if err != nil {
+				ep.Close()
+				return fail(i, fmt.Errorf("rds dial SMB server: %w", err))
+			}
+			extra = append(extra, ep)
+			clients[i] = smb.NewStreamClient(conn)
+		}
+	} else {
+		// The registry resolves the wire and is the only judge of the name:
+		// supervised TCP with per-op deadlines, reconnect, and
+		// sequence-stamped pushes, the negotiated shared-memory path, or
+		// auto-negotiation between them. ClientID is rank-derived so dedup
+		// keys stay distinct per worker on every transport.
+		name := cfg.SMBTransport
+		if name == "" {
+			name = "tcp"
+		}
+		for i := range clients {
+			c, err := smb.DialTransport(name, smb.DialOptions{
+				Addr:        cfg.SMBAddr,
+				OpTimeout:   cfg.SMBOpTimeout,
+				WaitTimeout: cfg.SMBWaitTimeout,
+				Seed:        cfg.Seed + uint64(i)*7919,
+				ClientID:    uint64(i + 1),
+			})
+			if err != nil {
+				return fail(i, fmt.Errorf("dial SMB transport %s: %w", name, err))
+			}
+			clients[i] = c
+		}
 		// One bounded probe verifies the server is reachable before any MPI
 		// collective starts. Supervised clients connect lazily, so without
 		// this a misconfigured address would fail inside rank 0's bootstrap
@@ -270,46 +305,7 @@ func smbClients(cfg *Config, n int) (clients []smb.Client, closeAll func(), err 
 		_, err := probe.Lookup("\x00reachability-probe")
 		probe.Close()
 		if err != nil && !errors.Is(err, smb.ErrUnknownSegment) {
-			return fail(0, fmt.Errorf("dial SMB server: %w", err))
-		}
-	}
-	for i := range clients {
-		switch cfg.SMBTransport {
-		case "", "tcp", "tcp_sg", "shm", "auto":
-			// The registry resolves the wire: supervised TCP (plain or
-			// scatter-gather) with per-op deadlines, reconnect, and
-			// sequence-stamped pushes, the negotiated shared-memory path,
-			// or auto-negotiation between them. ClientID is rank-derived so
-			// dedup keys stay distinct per worker on every transport.
-			name := cfg.SMBTransport
-			if name == "" {
-				name = "tcp"
-			}
-			c, err := smb.DialTransport(name, smb.DialOptions{
-				Addr:        cfg.SMBAddr,
-				OpTimeout:   cfg.SMBOpTimeout,
-				WaitTimeout: cfg.SMBWaitTimeout,
-				Seed:        cfg.Seed + uint64(i)*7919,
-				ClientID:    uint64(i + 1),
-			})
-			if err != nil {
-				return fail(i, fmt.Errorf("dial SMB transport %s: %w", name, err))
-			}
-			clients[i] = c
-		case "rds":
-			ep, err := rds.ListenUDP("127.0.0.1:0")
-			if err != nil {
-				return fail(i, err)
-			}
-			conn, err := ep.Dial(cfg.SMBAddr)
-			if err != nil {
-				ep.Close()
-				return fail(i, fmt.Errorf("rds dial SMB server: %w", err))
-			}
-			extra = append(extra, ep)
-			clients[i] = smb.NewStreamClient(conn)
-		default:
-			return fail(i, fmt.Errorf("unknown SMB transport %q: %w", cfg.SMBTransport, ErrConfig))
+			return fail(len(clients), fmt.Errorf("dial SMB server: %w", err))
 		}
 	}
 	if cfg.Metrics != nil {

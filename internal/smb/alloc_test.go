@@ -9,7 +9,8 @@ import (
 
 // Allocation regression guard (scripts/check.sh tier 2 runs this by name):
 // steady-state SMB data-path operations — Store and StreamClient
-// Read/Write/Accumulate — must perform zero heap allocations per op. The
+// Read/Write/Accumulate, and the client's bulk WriteAccumulate and
+// SnapRead — must perform zero heap allocations per op. The
 // seed allocated a stats closure on every verb, a full decode + re-encode
 // per Accumulate, and a fresh frame body per TCP message; any of those
 // creeping back fails this test.
@@ -150,6 +151,49 @@ func TestSteadyStateZeroAllocStreamClient(t *testing.T) {
 		}
 	}); n > eps {
 		t.Errorf("StreamClient.Accumulate allocates %.1f per op, want ~0", n)
+	}
+
+	// Bulk verbs at 1 MiB: the registered iovec list and header slab carry
+	// a multi-iovec Write, a 4-chunk WriteAccumulate pipeline, and replies
+	// landing directly in the caller's buffer — for Read and SnapRead.
+	bulk := sgPattern(sgTestBytes, 13)
+	var bh [2]Handle
+	for i, name := range []string{"alloc/bulk-wg", "alloc/bulk-dw"} {
+		key, err := client.Create(name, sgTestBytes)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if bh[i], err = client.Attach(key); err != nil {
+			t.Fatal(err)
+		}
+	}
+	info, err := client.Snapshot(bh[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer client.SnapRelease(info.ID)
+	dst := make([]byte, sgTestBytes)
+	for _, op := range []struct {
+		name string
+		run  func() error
+	}{
+		{"Write", func() error { return client.Write(bh[0], 0, bulk) }},
+		{"Read", func() error { return client.Read(bh[0], 0, dst) }},
+		{"WriteAccumulate", func() error { return client.WriteAccumulate(bh[0], bh[1], bulk) }},
+		{"SnapRead", func() error { return client.SnapRead(info.ID, 0, dst) }},
+	} {
+		for i := 0; i < 4; i++ { // warm every grow-only buffer
+			if err := op.run(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if n := testing.AllocsPerRun(50, func() {
+			if err := op.run(); err != nil {
+				t.Fatal(err)
+			}
+		}); n > eps {
+			t.Errorf("bulk StreamClient.%s allocates %.1f per op, want ~0", op.name, n)
+		}
 	}
 }
 

@@ -1,6 +1,7 @@
 package smb
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"time"
@@ -208,88 +209,88 @@ var _ WriteAccumulator = (*LocalClient)(nil)
 // writeAccChunkBytes is the client-side chunk size: a whole multiple of the
 // lock stripe, so every streamed chunk maps to whole stripes on the server
 // and stripe-level contention granularity is unchanged. Four stripes per
-// wire chunk amortizes the per-frame syscall and header-staging cost (one
-// conn.Write per chunk) while keeping the chunk small enough that the
-// server's copy+fold of chunk k stays cache-resident and overlaps the wire
-// transfer of chunk k+1.
+// wire chunk amortizes the per-frame header and server dispatch cost while
+// keeping the chunk small enough that the server's copy+fold of chunk k
+// stays cache-resident and overlaps the wire transfer of chunk k+1.
 const writeAccChunkBytes = 4 * chunkBytes
-
-// writeAccPadding is the zero padding appended after the chunk header.
-var writeAccPadding [writeAccPad]byte
 
 // WriteAccumulate implements WriteAccumulator over the wire: data is split
 // into stripe-aligned chunks streamed back-to-back with no per-chunk reply
 // — the server accumulates chunk k while chunk k+1 is on the wire — and one
-// final End round trip collects the sequence's status. Request staging uses
-// the client's grow-only scratch, so the steady-state path allocates
-// nothing.
+// final End frame collects the sequence's status. Every chunk header is
+// stamped into the registered header slab, the iovec list interleaves
+// headers with slices of the caller's data, the End frame rides at the
+// tail, and the whole pipeline reaches the transport in a single vectored
+// write (sg.go), so the steady-state path allocates nothing.
 //
 //shm:hotpath
 func (c *StreamClient) WriteAccumulate(dst, src Handle, data []byte) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.broken != nil {
-		return fmt.Errorf("smb: connection poisoned: %w", c.broken)
+	// Chunk frames carry the trace header too: the server's per-chunk
+	// srv.chunk spans then parent onto the same client push span as the
+	// End ack, rendering the pipeline under one trace.
+	traced := c.traceOK && c.tc.TraceID != 0
+	hb := 5
+	if traced {
+		hb += traceHeaderLen
 	}
-	if c.sg && len(data) >= sgMinPayload {
-		// Scatter-gather: every chunk header is staged in one slab and the
-		// whole sequence — chunk frames plus the End frame — goes out as a
-		// single vectored write (sg.go). Wire bytes are identical.
-		return c.writeAccumulateSGLocked(dst, src, data)
+	chunkHdr := hb + 24 + writeAccPad // dst, src, off, padding
+	endHdr := hb + 16                 // dst, src
+	nchunks := (len(data) + writeAccChunkBytes - 1) / writeAccChunkBytes
+	need := nchunks*chunkHdr + endHdr
+	if cap(c.hdrs) < need {
+		//lint:ignore hotalloc the header slab is registered per client and grow-only
+		c.hdrs = make([]byte, need)
 	}
-	dc, deadlines := c.conn.(deadlineConn)
-	deadlines = deadlines && c.opTimeout > 0
-	chunks := 0
+	slab := c.hdrs[:need]
+	c.vw.reset()
+	pos := 0
 	for off := 0; off < len(data); off += writeAccChunkBytes {
 		end := off + writeAccChunkBytes
 		if end > len(data) {
 			end = len(data)
 		}
-		var t0 time.Time
-		if c.chunkInst != nil {
-			t0 = time.Now()
-		}
-		c.beginLocked().u64(uint64(dst)).u64(uint64(src)).u64(uint64(off)).
-			bytes(writeAccPadding[:]).bytes(data[off:end])
-		if deadlines {
-			dc.SetWriteDeadline(time.Now().Add(c.opTimeout))
-		}
-		var werr error
-		if c.traceOK && c.tc.TraceID != 0 {
-			// Chunk frames carry the trace header too: the server's per-chunk
-			// srv.chunk spans then parent onto the same client push span as
-			// the End ack, rendering the pipeline under one trace.
-			werr = writeFrameTracedInto(c.conn, byte(opWriteAccChunk), c.req.buf, c.tc, &c.wire)
-		} else {
-			werr = writeFrameInto(c.conn, byte(opWriteAccChunk), c.req.buf, &c.wire)
-		}
-		if err := werr; err != nil {
-			// A mid-sequence failure leaves the stream desynchronized: the
-			// server saw some prefix of the chunks and is waiting for the
-			// rest. The seed returned the error but kept the connection,
-			// so the next verb's frame landed inside the half-finished
-			// sequence. Poison instead — the connection is done.
-			return c.poisonLocked(fmt.Errorf("smb chunk stream: %w: %w", ErrTransport, err))
-		}
-		if deadlines {
-			dc.SetWriteDeadline(time.Time{})
-		}
-		if c.chunkInst != nil {
-			// Time to push one chunk into the transport: under backpressure
-			// this is where the pipeline stalls, so the histogram exposes
-			// whether the server keeps up with the wire.
-			c.chunkInst.chunkWrite.ObserveSeconds(time.Since(t0).Nanoseconds())
-		}
-		chunks++
+		h := slab[pos : pos+chunkHdr]
+		pos += chunkHdr
+		b := stampFrameHdr(h, byte(opWriteAccChunk), end-off, traced, c.tc)
+		binary.LittleEndian.PutUint64(h[b:b+8], uint64(dst))
+		binary.LittleEndian.PutUint64(h[b+8:b+16], uint64(src))
+		binary.LittleEndian.PutUint64(h[b+16:b+24], uint64(off))
+		h[b+24], h[b+25], h[b+26] = 0, 0, 0
+		c.vw.add(h)
+		c.vw.add(data[off:end])
 	}
-	c.beginLocked().u64(uint64(dst)).u64(uint64(src))
-	_, err := c.roundTripLocked(opWriteAccEnd)
-	if err == nil && c.chunkInst != nil {
+	e := slab[pos : pos+endHdr]
+	b := stampFrameHdr(e, byte(opWriteAccEnd), 0, traced, c.tc)
+	binary.LittleEndian.PutUint64(e[b:b+8], uint64(dst))
+	binary.LittleEndian.PutUint64(e[b+8:b+16], uint64(src))
+	c.vw.add(e)
+	var t0 time.Time
+	if c.chunkInst != nil {
+		t0 = time.Now()
+	}
+	// A failed write poisons (flushLocked): the server saw some prefix of
+	// the chunks and is waiting for the rest, so the next verb's frame
+	// would land inside the half-finished sequence.
+	if err := c.flushLocked(c.opTimeout, "smb chunk stream"); err != nil {
+		return err
+	}
+	if c.chunkInst != nil {
+		// Time to push the whole sequence into the transport: under
+		// backpressure this is where the pipeline stalls, so the histogram
+		// exposes whether the server keeps up with the wire.
+		c.chunkInst.chunkWrite.ObserveSeconds(time.Since(t0).Nanoseconds())
+	}
+	if _, err := c.readReplyLocked(c.opTimeout, nil); err != nil {
+		return err
+	}
+	if c.chunkInst != nil {
 		// Every chunk of the sequence is unacknowledged until the End reply:
 		// the pipeline depth reached equals the chunk count.
-		c.chunkInst.depth.Observe(float64(chunks))
+		c.chunkInst.depth.Observe(float64(nchunks))
 	}
-	return err
+	return nil
 }
 
 var _ WriteAccumulator = (*StreamClient)(nil)

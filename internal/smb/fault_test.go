@@ -413,6 +413,8 @@ func TestServerHandlerErrorSurfaced(t *testing.T) {
 	var mu sync.Mutex
 	var lines []string
 	srv.SetLogf(func(format string, args ...any) {
+		// A slow logger: the counter must not move before the line lands.
+		time.Sleep(20 * time.Millisecond)
 		mu.Lock()
 		lines = append(lines, fmt.Sprintf(format, args...))
 		mu.Unlock()

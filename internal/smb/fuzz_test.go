@@ -41,8 +41,8 @@ func FuzzDispatch(f *testing.F) {
 	})
 }
 
-// FuzzFrameRoundTrip: any frame written by writeFrame is read back intact
-// by readFrame.
+// FuzzFrameRoundTrip: any frame written by writeFrameInto is read back
+// intact by readFrameInto.
 func FuzzFrameRoundTrip(f *testing.F) {
 	f.Add(byte(1), []byte("payload"))
 	f.Add(byte(0), []byte{})
@@ -51,10 +51,11 @@ func FuzzFrameRoundTrip(f *testing.F) {
 			payload = payload[:1<<16]
 		}
 		var buf bytes.Buffer
-		if err := writeFrame(&buf, op, payload); err != nil {
+		var wscratch, rscratch []byte
+		if err := writeFrameInto(&buf, op, payload, &wscratch); err != nil {
 			t.Skip()
 		}
-		gotOp, gotPayload, err := readFrame(&buf)
+		gotOp, gotPayload, err := readFrameInto(&buf, &rscratch)
 		if err != nil {
 			t.Fatalf("read back: %v", err)
 		}
@@ -75,7 +76,8 @@ func FuzzReadFrame(f *testing.F) {
 	// Flagged frame whose body is shorter than the trace header.
 	f.Add([]byte{3, 0, 0, 0, byte(opWrite) | traceFlagBit, 1, 2})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		op, payload, err := readFrame(bytes.NewReader(data))
+		var scratch []byte
+		op, payload, err := readFrameInto(bytes.NewReader(data), &scratch)
 		if err != nil || op&traceFlagBit == 0 {
 			return
 		}

@@ -136,8 +136,9 @@ func newClientInstruments(reg *telemetry.Registry, family, help string) *clientI
 }
 
 // chunkInstruments is the StreamClient's pipelined-transfer telemetry:
-// per-chunk wire-write latency (where backpressure from a lagging server
-// shows up) and the pipeline depth each WriteAccumulate sequence reached.
+// the time to push each WriteAccumulate sequence into the transport (where
+// backpressure from a lagging server shows up) and the pipeline depth each
+// sequence reached.
 type chunkInstruments struct {
 	chunkWrite *telemetry.Histogram
 	depth      *telemetry.Histogram
@@ -154,7 +155,7 @@ func (c *StreamClient) Instrument(reg *telemetry.Registry) {
 		"wire-client round-trip latency per verb")
 	c.chunkInst = &chunkInstruments{
 		chunkWrite: reg.Histogram("smb_client_chunk_write_seconds",
-			"time to push one WriteAccumulate chunk into the transport; grows when the server cannot drain the pipeline",
+			"time to push one WriteAccumulate sequence into the transport; grows when the server cannot drain the pipeline",
 			telemetry.DefLatencyBuckets),
 		depth: reg.Histogram("smb_client_chunk_pipeline_depth",
 			"chunks streamed per WriteAccumulate before the single End ack (the pipeline depth reached)",

@@ -111,7 +111,8 @@ func TestNotifyWakeupCounter(t *testing.T) {
 	}
 }
 
-// TestStreamClientInstrumented covers the wire RTT histograms end to end.
+// TestStreamClientInstrumented covers the wire RTT and chunked-push
+// histograms end to end.
 func TestStreamClientInstrumented(t *testing.T) {
 	store := NewStore()
 	server, err := NewServer(store, "127.0.0.1:0")
@@ -147,6 +148,9 @@ func TestStreamClientInstrumented(t *testing.T) {
 	if err := client.Accumulate(h, h); err != nil {
 		t.Fatal(err)
 	}
+	if err := client.WriteAccumulate(h, h, buf); err != nil {
+		t.Fatal(err)
+	}
 
 	var b strings.Builder
 	if err := reg.WritePrometheus(&b); err != nil {
@@ -157,6 +161,9 @@ func TestStreamClientInstrumented(t *testing.T) {
 		`smb_client_rtt_seconds_count{op="read"} 1`,
 		`smb_client_rtt_seconds_count{op="write"} 1`,
 		`smb_client_rtt_seconds_count{op="accumulate"} 1`,
+		// One observation per pushed sequence, however many chunks.
+		`smb_client_chunk_write_seconds_count 1`,
+		`smb_client_chunk_pipeline_depth_count 1`,
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("exposition missing %q\n%s", want, out)

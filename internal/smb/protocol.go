@@ -43,16 +43,12 @@ const maxFrame = 1 << 30
 // ErrFrameTooLarge reports a frame exceeding maxFrame.
 var ErrFrameTooLarge = errors.New("smb: frame exceeds size limit")
 
-func writeFrame(w io.Writer, op byte, payload []byte) error {
-	var scratch []byte
-	return writeFrameInto(w, op, payload, &scratch)
-}
-
-// writeFrameInto is writeFrame with a caller-owned, grow-only scratch: the
-// header and payload are staged into one buffer and sent with a single
-// Write. Local byte arrays escape when passed through the io.Writer
-// interface, so the reusable scratch is what keeps the steady-state wire
-// path allocation-free (and it halves the syscalls per frame).
+// writeFrameInto writes one frame through a caller-owned, grow-only
+// scratch: the header and payload are staged into one buffer and sent with
+// a single Write — the server's reply path for control and error replies.
+// Local byte arrays escape when passed through the io.Writer interface, so
+// the reusable scratch is what keeps the steady-state wire path
+// allocation-free (and it halves the syscalls per frame).
 //
 //shm:hotpath
 func writeFrameInto(w io.Writer, op byte, payload []byte, scratch *[]byte) error {
@@ -71,16 +67,10 @@ func writeFrameInto(w io.Writer, op byte, payload []byte, scratch *[]byte) error
 	return err
 }
 
-func readFrame(r io.Reader) (op byte, payload []byte, err error) {
-	var scratch []byte
-	return readFrameInto(r, &scratch)
-}
-
-// readFrameInto is readFrame with a caller-owned, grow-only scratch buffer:
-// the returned payload aliases *scratch and is valid until the next call
-// with the same scratch. The server's connection loop and the stream
-// client reuse one scratch per connection, so steady-state frame reads do
-// not allocate.
+// readFrameInto reads one frame into a caller-owned, grow-only scratch
+// buffer: the returned payload aliases *scratch and is valid until the
+// next call with the same scratch. The server's connection loop reuses one
+// scratch per connection, so steady-state frame reads do not allocate.
 //
 //shm:hotpath
 func readFrameInto(r io.Reader, scratch *[]byte) (op byte, payload []byte, err error) {

@@ -1,6 +1,7 @@
 package smb
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -348,7 +349,6 @@ func (s *Server) connDone(cs *connState, err error) {
 	if errors.Is(err, io.EOF) && !mid {
 		return // clean close at a frame boundary
 	}
-	telemetry.RecordEvent(telemetry.EvConnError, s.connErrors.Add(1), 0, 0)
 	s.mu.Lock()
 	logf := s.logf
 	s.mu.Unlock()
@@ -359,6 +359,9 @@ func (s *Server) connDone(cs *connState, err error) {
 			logf("smb: connection handler exited: %v", err)
 		}
 	}
+	// Counted after the log line, so whoever sees the counter move also
+	// finds the line.
+	telemetry.RecordEvent(telemetry.EvConnError, s.connErrors.Add(1), 0, 0)
 }
 
 // dispatch decodes and executes one request. The returned payload may alias
@@ -425,6 +428,11 @@ func (s *Server) dispatchOp(op opcode, payload []byte, cs *connState) ([]byte, e
 		size := fr.u64()
 		if fr.err != nil {
 			return nil, fr.err
+		}
+		if size > maxFrame {
+			// A wire-supplied size is allocated as is: bound it, or one
+			// request can exhaust the memory server.
+			return nil, fmt.Errorf("smb: create %q with size %d: %w", name, size, ErrFrameTooLarge)
 		}
 		key, err := s.store.Create(name, int(size))
 		if err != nil {
@@ -588,9 +596,9 @@ func (s *Server) dispatchOp(op opcode, payload []byte, cs *connState) ([]byte, e
 type StreamClient struct {
 	mu        sync.Mutex
 	conn      io.ReadWriteCloser
-	req       frameWriter        // request payload builder, guarded by mu
-	in        []byte             // response frame scratch, guarded by mu
-	wire      []byte             // request frame staging, guarded by mu
+	req       frameWriter        // request payload head builder, guarded by mu
+	in        []byte             // response header and non-bulk reply scratch, guarded by mu
+	wire      []byte             // request header+head staging, guarded by mu
 	inst      *clientInstruments // optional RTT timing, guarded by mu
 	chunkInst *chunkInstruments  // optional pipelined-transfer timing, guarded by mu
 
@@ -598,11 +606,9 @@ type StreamClient struct {
 	waitTimeout time.Duration // guarded by mu; WaitUpdate budget, 0 = block forever
 	broken      error         // guarded by mu; first transport failure latches here
 
-	// Scatter-gather state (sg.go): sg enables vectored writes and
-	// direct-landing reads; vw and hdrs are the registered buffers those
-	// paths reuse — an iovec list and a chunk-header slab, both grow-only
-	// so the steady state stays allocation-free. All guarded by mu.
-	sg   bool
+	// Registered buffers of the vectored path (sg.go): an iovec list and a
+	// chunk-header slab, both grow-only so the steady state stays
+	// allocation-free. Guarded by mu.
 	vw   vecWriter
 	hdrs []byte
 
@@ -693,76 +699,98 @@ func (c *StreamClient) beginLocked() *frameWriter {
 }
 
 // roundTripLocked performs one synchronous RPC with c.req.buf as the
-// request payload. The returned payload aliases the client's scratch and
-// must be consumed before c.mu is released. Caller holds c.mu.
+// request payload and no bulk body. The returned payload aliases the
+// client's scratch and must be consumed before c.mu is released. Caller
+// holds c.mu.
+func (c *StreamClient) roundTripLocked(op opcode) ([]byte, error) {
+	return c.roundTripBulkLocked(op, nil, nil)
+}
+
+// roundTripBulkLocked is the one round trip of the wire client: the
+// staged head c.req.buf and the caller's body (nil for none) go out in
+// one vectored write, and a reply of exactly len(dst) bytes lands in dst
+// (nil for none); see readReplyLocked. Caller holds c.mu.
 //
 // Any transport failure — write error, read error, or a fired deadline —
 // poisons the client: the framing state of the connection is unknown, so
 // reuse could pair a stale response with a fresh request.
-func (c *StreamClient) roundTripLocked(op opcode) ([]byte, error) {
-	return c.roundTripBodyLocked(op, nil)
-}
-
-// roundTripBodyLocked is roundTripLocked with an optional bulk body: when
-// body is non-nil the frame goes out as one vectored write of the staged
-// header+head and the caller's body — header and payload in a single
-// writev, no staging copy of the bulk bytes (sg.go).
-func (c *StreamClient) roundTripBodyLocked(op opcode, body []byte) ([]byte, error) {
-	if c.broken != nil {
-		return nil, fmt.Errorf("smb: connection poisoned: %w", c.broken)
-	}
+//
+//shm:hotpath
+func (c *StreamClient) roundTripBulkLocked(op opcode, body, dst []byte) ([]byte, error) {
 	timeout := c.opTimeout
 	if op == opWaitUpdate {
 		timeout = c.waitTimeout
 	}
-	dc, deadlines := c.conn.(deadlineConn)
-	deadlines = deadlines && timeout > 0
-	if deadlines {
-		dc.SetWriteDeadline(time.Now().Add(timeout))
+	if err := c.gatherRequestLocked(op, body); err != nil {
+		return nil, err
 	}
-	var err error
-	switch {
-	case body != nil:
-		err = c.writeFrameVecLocked(byte(op), body)
-	case c.traceOK && c.tc.TraceID != 0 && op != opHello:
-		err = writeFrameTracedInto(c.conn, byte(op), c.req.buf, c.tc, &c.wire)
-	default:
-		err = writeFrameInto(c.conn, byte(op), c.req.buf, &c.wire)
+	if err := c.flushLocked(timeout, "smb request"); err != nil {
+		return nil, err
 	}
-	if err != nil {
-		return nil, c.poisonLocked(fmt.Errorf("smb request: %w: %w", ErrTransport, err))
-	}
-	if deadlines {
-		dc.SetWriteDeadline(time.Time{})
-	}
-	return c.readReplyLocked(timeout)
+	return c.readReplyLocked(timeout, dst)
 }
 
 // readReplyLocked reads and classifies one reply frame — the shared tail
-// of every round trip, including the scatter-gather paths that write their
-// requests out of band. Caller holds c.mu.
-func (c *StreamClient) readReplyLocked(timeout time.Duration) ([]byte, error) {
+// of every round trip, including the chunked push, which writes its
+// requests as one pipeline. An OK reply of exactly len(dst) bytes lands
+// directly in dst (bulk Read and SnapRead: no staging copy) and dst is
+// returned; anything else — control replies, error replies, size
+// surprises — lands in the client's scratch, so the framing stays intact
+// either way. Caller holds c.mu.
+//
+//shm:hotpath
+func (c *StreamClient) readReplyLocked(timeout time.Duration, dst []byte) ([]byte, error) {
 	dc, deadlines := c.conn.(deadlineConn)
 	deadlines = deadlines && timeout > 0
 	if deadlines {
 		dc.SetReadDeadline(time.Now().Add(timeout))
 	}
-	status, resp, err := readFrameInto(c.conn, &c.in)
-	if err != nil {
-		if errors.Is(err, io.EOF) {
-			return nil, c.poisonLocked(fmt.Errorf("smb server closed connection: %w: %w", ErrTransport, err))
+	// The header lands in the scratch: a local array would escape through
+	// the io.Reader interface and cost one allocation per op.
+	if cap(c.in) < 64 {
+		//lint:ignore hotalloc grow-only per-client scratch, amortized to zero
+		c.in = make([]byte, 64)
+	}
+	hdr := c.in[:5]
+	if _, err := io.ReadFull(c.conn, hdr); err != nil {
+		return nil, c.replyFailedLocked(err)
+	}
+	n := binary.LittleEndian.Uint32(hdr[:4])
+	if n < 1 || n > maxFrame {
+		return nil, c.poisonLocked(fmt.Errorf("smb response: frame length %d: %w: %w", n, ErrTransport, ErrFrameTooLarge))
+	}
+	status, payLen := hdr[4], int(n)-1
+	if status != statusOK && status != statusErr {
+		return nil, c.poisonLocked(fmt.Errorf("smb response status %d: %w", status, ErrTransport))
+	}
+	buf := dst
+	if dst == nil || status != statusOK || payLen != len(dst) {
+		if cap(c.in) < payLen {
+			//lint:ignore hotalloc grow-only per-client scratch, amortized to zero
+			c.in = make([]byte, payLen)
 		}
-		return nil, c.poisonLocked(fmt.Errorf("smb response: %w: %w", ErrTransport, err))
+		buf = c.in[:payLen]
+	}
+	if _, err := io.ReadFull(c.conn, buf); err != nil {
+		return nil, c.replyFailedLocked(err)
 	}
 	if deadlines {
 		dc.SetReadDeadline(time.Time{})
 	}
 	if status == statusErr {
-		fr := frameReader{buf: resp}
-		msg := fr.str()
-		return nil, remoteError(msg)
+		fr := frameReader{buf: buf}
+		return nil, remoteError(fr.str())
 	}
-	return resp, nil
+	return buf, nil
+}
+
+// replyFailedLocked poisons the client after a failed reply read. Caller
+// holds c.mu.
+func (c *StreamClient) replyFailedLocked(err error) error {
+	if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
+		return c.poisonLocked(fmt.Errorf("smb server closed connection: %w: %w", ErrTransport, err))
+	}
+	return c.poisonLocked(fmt.Errorf("smb response: %w: %w", ErrTransport, err))
 }
 
 // knownRemoteErrors are the sentinel errors remoteError can reconstruct
@@ -846,8 +874,8 @@ func (c *StreamClient) Free(key SHMKey) error {
 	return err
 }
 
-// Read implements Client. The response payload is copied into dst straight
-// from the connection scratch — no intermediate allocation.
+// Read implements Client. The reply payload lands straight in dst — no
+// staging copy, no intermediate allocation.
 //
 //shm:hotpath
 func (c *StreamClient) Read(h Handle, off int, dst []byte) error {
@@ -858,30 +886,21 @@ func (c *StreamClient) Read(h Handle, off int, dst []byte) error {
 		t0 = time.Now()
 	}
 	c.beginLocked().u64(uint64(h)).u64(uint64(off)).u64(uint64(len(dst)))
-	if c.sg && len(dst) >= sgMinPayload {
-		// Direct landing: the reply payload is read straight into dst,
-		// skipping the response-scratch staging copy (sg.go).
-		err := c.roundTripReadIntoLocked(opRead, dst)
-		if err == nil && c.inst != nil {
-			c.inst.read.ObserveSeconds(time.Since(t0).Nanoseconds())
-		}
-		return err
-	}
-	resp, err := c.roundTripLocked(opRead)
+	resp, err := c.roundTripBulkLocked(opRead, nil, dst)
 	if err != nil {
 		return err
 	}
 	if len(resp) != len(dst) {
 		return fmt.Errorf("smb read returned %d bytes, want %d", len(resp), len(dst))
 	}
-	copy(dst, resp)
 	if c.inst != nil {
 		c.inst.read.ObserveSeconds(time.Since(t0).Nanoseconds())
 	}
 	return nil
 }
 
-// Write implements Client.
+// Write implements Client. The staged head and src go out in one vectored
+// write: src travels from the caller's buffer to the kernel unstaged.
 //
 //shm:hotpath
 func (c *StreamClient) Write(h Handle, off int, src []byte) error {
@@ -891,17 +910,8 @@ func (c *StreamClient) Write(h Handle, off int, src []byte) error {
 	if c.inst != nil {
 		t0 = time.Now()
 	}
-	var err error
-	if c.sg && len(src) >= sgMinPayload {
-		// Vectored request: header+head staged once, src goes out of the
-		// caller's buffer in the same writev — wire bytes identical to the
-		// staged path, minus the payload copy (sg.go).
-		c.beginLocked().u64(uint64(h)).u64(uint64(off))
-		_, err = c.roundTripBodyLocked(opWrite, src)
-	} else {
-		c.beginLocked().u64(uint64(h)).u64(uint64(off)).bytes(src)
-		_, err = c.roundTripLocked(opWrite)
-	}
+	c.beginLocked().u64(uint64(h)).u64(uint64(off))
+	_, err := c.roundTripBulkLocked(opWrite, src, nil)
 	if err == nil && c.inst != nil {
 		c.inst.write.ObserveSeconds(time.Since(t0).Nanoseconds())
 	}

@@ -8,29 +8,21 @@ import (
 	"time"
 )
 
-// Scatter-gather TCP path (DESIGN.md §16): the frame protocol's bytes are
-// unchanged, but bulk payloads stop being staged. Outbound, header and
-// payload leave in one writev (net.Buffers) — the payload goes out of the
-// caller's buffer, and a chunked WRITE+ACCUMULATE sends its whole pipeline
-// (every chunk frame plus the End frame) as a single vectored write.
-// Inbound, a bulk Read reply lands directly in the caller's destination
-// buffer. The iovec list and the chunk-header slab are registered per
-// connection and grow-only, so the steady state allocates nothing.
+// Vectored TCP data path (DESIGN.md §16.6): the frame protocol's bytes are
+// fixed, but bulk payloads are never staged. Outbound, a request's header
+// and the caller's payload leave in one writev (net.Buffers), and a chunked
+// WRITE+ACCUMULATE sends its whole pipeline (every chunk frame plus the End
+// frame) as a single vectored write. Inbound, a bulk reply lands directly
+// in the caller's destination buffer (readReplyLocked). The iovec list and
+// the chunk-header slab are registered per connection and grow-only, so the
+// steady state allocates nothing. On a conn without writev (in-process
+// pipes, fault wrappers, the RDS stream) net.Buffers sends one Write per
+// iovec: more writes, the same bytes.
 
-// sgMinPayload is the payload size below which vectoring is not worth it:
-// tiny frames are cheaper staged into one contiguous write than described
-// to the kernel as two iovecs.
+// sgMinPayload is the reply size below which the server stages instead of
+// vectoring: tiny frames are cheaper copied into one contiguous write than
+// described to the kernel as two iovecs.
 const sgMinPayload = 4 << 10
-
-// EnableScatterGather switches the client's bulk verbs to the vectored
-// path. Only honored on transports with real writev support (TCP, unix
-// sockets); elsewhere net.Buffers would degrade into one syscall per
-// iovec, which is strictly worse than staging.
-func (c *StreamClient) EnableScatterGather(on bool) {
-	c.mu.Lock()
-	c.sg = on && connWritev(c.conn)
-	c.mu.Unlock()
-}
 
 // connWritev reports whether conn reaches the kernel's writev via
 // net.Buffers.
@@ -90,21 +82,19 @@ func writeFrameVec(w io.Writer, op byte, payload []byte, vw *vecWriter, scratch 
 		*scratch = make([]byte, 5)
 	}
 	buf := (*scratch)[:5]
-	binary.LittleEndian.PutUint32(buf[:4], uint32(1+len(payload)))
-	buf[4] = op
+	stampFrameHdr(buf, op, len(payload), false, TraceContext{})
 	vw.reset()
 	vw.add(buf)
 	vw.add(payload)
 	return vw.writeTo(w)
 }
 
-// sgStampHdr fills a frame header slab entry: length, opcode (trace-flagged
-// and trace-stamped when traced), returning the offset where the payload
-// head continues. payload is the byte count that follows the slab entry on
-// the wire.
+// stampFrameHdr fills a frame header: length, opcode (trace-flagged and
+// trace-stamped when traced), returning the offset where the payload head
+// continues. payload is the byte count that follows h on the wire.
 //
 //shm:hotpath
-func sgStampHdr(h []byte, op byte, payload int, traced bool, tc TraceContext) int {
+func stampFrameHdr(h []byte, op byte, payload int, traced bool, tc TraceContext) int {
 	binary.LittleEndian.PutUint32(h[:4], uint32(len(h)-4+payload))
 	if !traced {
 		h[4] = op
@@ -118,14 +108,16 @@ func sgStampHdr(h []byte, op byte, payload int, traced bool, tc TraceContext) in
 	return 29
 }
 
-// writeFrameVecLocked sends one request frame whose payload is the staged
-// head (c.req.buf) followed by body, as a single vectored write — the body
-// never passes through the wire-staging buffer. Caller holds c.mu.
+// gatherRequestLocked stages one request frame into the iovec list: the
+// header (plus the trace extension while a context is set) and the staged
+// head c.req.buf in the wire scratch, then body straight from the caller's
+// buffer. opHello is never trace-flagged — it is what negotiates the
+// extension. Caller holds c.mu.
 //
 //shm:hotpath
-func (c *StreamClient) writeFrameVecLocked(op byte, body []byte) error {
+func (c *StreamClient) gatherRequestLocked(op opcode, body []byte) error {
 	head := c.req.buf
-	traced := c.traceOK && c.tc.TraceID != 0
+	traced := c.traceOK && c.tc.TraceID != 0 && op != opHello
 	hn := 5 + len(head)
 	if traced {
 		hn += traceHeaderLen
@@ -140,158 +132,35 @@ func (c *StreamClient) writeFrameVecLocked(op byte, body []byte) error {
 	buf := c.wire[:hn]
 	// The staged head lives inside buf, so only body counts as trailing
 	// payload for the length stamp.
-	b := sgStampHdr(buf, op, len(body), traced, c.tc)
-	copy(buf[b:], head)
+	copy(buf[stampFrameHdr(buf, byte(op), len(body), traced, c.tc):], head)
 	c.vw.reset()
 	c.vw.add(buf)
-	c.vw.add(body)
-	return c.vw.writeTo(c.conn)
+	if len(body) > 0 {
+		c.vw.add(body)
+	}
+	return nil
 }
 
-// roundTripReadIntoLocked is the direct-landing Read round trip: the reply
-// header is parsed from a small stack buffer and, when the payload is the
-// expected bulk, it is read straight into dst — no staging through the
-// response scratch. Error replies and unexpected sizes take the scratch
-// path with unchanged semantics. Caller holds c.mu.
+// flushLocked sends the gathered iovecs as one vectored write under the
+// op's write deadline. A poisoned client sends nothing; a failed write
+// poisons it: the server saw an unknown prefix of the frames, so the
+// framing is desynced. Caller holds c.mu.
 //
 //shm:hotpath
-func (c *StreamClient) roundTripReadIntoLocked(op opcode, dst []byte) error {
+func (c *StreamClient) flushLocked(timeout time.Duration, what string) error {
 	if c.broken != nil {
 		return fmt.Errorf("smb: connection poisoned: %w", c.broken)
 	}
-	timeout := c.opTimeout
 	dc, deadlines := c.conn.(deadlineConn)
 	deadlines = deadlines && timeout > 0
 	if deadlines {
 		dc.SetWriteDeadline(time.Now().Add(timeout))
 	}
-	var err error
-	if c.traceOK && c.tc.TraceID != 0 {
-		err = writeFrameTracedInto(c.conn, byte(op), c.req.buf, c.tc, &c.wire)
-	} else {
-		err = writeFrameInto(c.conn, byte(op), c.req.buf, &c.wire)
-	}
-	if err != nil {
-		return c.poisonLocked(fmt.Errorf("smb request: %w: %w", ErrTransport, err))
+	if err := c.vw.writeTo(c.conn); err != nil {
+		return c.poisonLocked(fmt.Errorf("%s: %w: %w", what, ErrTransport, err))
 	}
 	if deadlines {
 		dc.SetWriteDeadline(time.Time{})
-		dc.SetReadDeadline(time.Now().Add(timeout))
-	}
-	// The reply header lands in the wire scratch (free again once the
-	// request is out): a local array would escape through the io.Reader
-	// interface and cost one allocation per op.
-	if cap(c.wire) < 5 {
-		//lint:ignore hotalloc grow-only per-client staging, amortized to zero
-		c.wire = make([]byte, 5)
-	}
-	hdr := c.wire[:5]
-	if _, err := io.ReadFull(c.conn, hdr[:]); err != nil {
-		if err == io.EOF || err == io.ErrUnexpectedEOF {
-			return c.poisonLocked(fmt.Errorf("smb server closed connection: %w: %w", ErrTransport, err))
-		}
-		return c.poisonLocked(fmt.Errorf("smb response: %w: %w", ErrTransport, err))
-	}
-	n := binary.LittleEndian.Uint32(hdr[:4])
-	if n == 0 || n > maxFrame {
-		return c.poisonLocked(fmt.Errorf("smb response frame length %d: %w", n, ErrTransport))
-	}
-	status := hdr[4]
-	payLen := int(n) - 1
-	if status == statusOK && payLen == len(dst) {
-		if _, err := io.ReadFull(c.conn, dst); err != nil {
-			return c.poisonLocked(fmt.Errorf("smb response: %w: %w", ErrTransport, err))
-		}
-		if deadlines {
-			dc.SetReadDeadline(time.Time{})
-		}
-		return nil
-	}
-	// Slow path: error reply or a size surprise — land in the scratch so
-	// the connection framing stays intact either way.
-	if cap(c.in) < payLen {
-		c.in = make([]byte, payLen)
-	}
-	buf := c.in[:payLen]
-	if _, err := io.ReadFull(c.conn, buf); err != nil {
-		return c.poisonLocked(fmt.Errorf("smb response: %w: %w", ErrTransport, err))
-	}
-	if deadlines {
-		dc.SetReadDeadline(time.Time{})
-	}
-	if status == statusErr {
-		fr := frameReader{buf: buf}
-		return remoteError(fr.str())
-	}
-	return fmt.Errorf("smb read returned %d bytes, want %d", payLen, len(dst))
-}
-
-// writeAccumulateSGLocked streams a chunked WRITE+ACCUMULATE as one
-// vectored write: every chunk header is stamped into the registered header
-// slab, the iovec list interleaves headers with slices of the caller's
-// data, the End frame rides at the tail, and the whole pipeline reaches
-// the kernel in a single net.Buffers write. One reply round trip collects
-// the sequence status, exactly like the staged path. Caller holds c.mu.
-//
-//shm:hotpath
-func (c *StreamClient) writeAccumulateSGLocked(dst, src Handle, data []byte) error {
-	traced := c.traceOK && c.tc.TraceID != 0
-	hb := 5
-	if traced {
-		hb += traceHeaderLen
-	}
-	chunkHdr := hb + 24 + writeAccPad // dst, src, off, padding
-	endHdr := hb + 16                 // dst, src
-	nchunks := (len(data) + writeAccChunkBytes - 1) / writeAccChunkBytes
-	need := nchunks*chunkHdr + endHdr
-	if cap(c.hdrs) < need {
-		//lint:ignore hotalloc the header slab is registered per client and grow-only
-		c.hdrs = make([]byte, need)
-	}
-	slab := c.hdrs[:need]
-	c.vw.reset()
-	pos := 0
-	for off := 0; off < len(data); off += writeAccChunkBytes {
-		end := off + writeAccChunkBytes
-		if end > len(data) {
-			end = len(data)
-		}
-		h := slab[pos : pos+chunkHdr]
-		pos += chunkHdr
-		b := sgStampHdr(h, byte(opWriteAccChunk), end-off, traced, c.tc)
-		binary.LittleEndian.PutUint64(h[b:b+8], uint64(dst))
-		binary.LittleEndian.PutUint64(h[b+8:b+16], uint64(src))
-		binary.LittleEndian.PutUint64(h[b+16:b+24], uint64(off))
-		h[b+24], h[b+25], h[b+26] = 0, 0, 0
-		c.vw.add(h)
-		c.vw.add(data[off:end])
-	}
-	e := slab[pos : pos+endHdr]
-	b := sgStampHdr(e, byte(opWriteAccEnd), 0, traced, c.tc)
-	binary.LittleEndian.PutUint64(e[b:b+8], uint64(dst))
-	binary.LittleEndian.PutUint64(e[b+8:b+16], uint64(src))
-	c.vw.add(e)
-	dc, deadlines := c.conn.(deadlineConn)
-	deadlines = deadlines && c.opTimeout > 0
-	if deadlines {
-		dc.SetWriteDeadline(time.Now().Add(c.opTimeout))
-	}
-	err := c.vw.writeTo(c.conn)
-	if err != nil {
-		// Same poison rationale as the staged chunk stream: the server saw
-		// an unknown prefix of the sequence and the framing is desynced.
-		return c.poisonLocked(fmt.Errorf("smb chunk stream: %w: %w", ErrTransport, err))
-	}
-	if deadlines {
-		dc.SetWriteDeadline(time.Time{})
-	}
-	if _, err := c.readReplyLocked(c.opTimeout); err != nil {
-		return err
-	}
-	if c.chunkInst != nil {
-		// The whole sequence is unacknowledged until the End reply — the
-		// pipeline depth reached equals the chunk count.
-		c.chunkInst.depth.Observe(float64(nchunks))
 	}
 	return nil
 }

@@ -3,31 +3,42 @@ package smb
 import (
 	"bytes"
 	"errors"
+	"net"
 	"testing"
 
 	"shmcaffe/internal/telemetry"
 	"shmcaffe/internal/tensor"
 )
 
-// The scatter-gather TCP path must be wire-equivalent to the staged path:
-// same protocol bytes, same results, same error semantics — just fewer
-// copies and syscalls. These tests drive both paths against one server and
-// compare outcomes.
+// The vectored path (sg.go) is StreamClient's only data path: bulk
+// payloads leave the caller's buffer in one writev and bulk replies land
+// directly in the caller's buffer. These tests pin it end to end against
+// the in-process store as the reference, on a TCP conn (real writev) and
+// on a conn without writev, where net.Buffers falls back to one Write per
+// iovec.
 
 const sgTestBytes = 1 << 20 // 1 MiB: > sgMinPayload and > writeAccChunkBytes
 
 func sgPattern(n int, seed byte) []byte {
 	b := make([]byte, n)
-	for i := range b {
-		b[i] = byte(i)*7 + seed
-	}
-	// Keep the payload float32-aligned garbage out of WriteAccumulate: the
-	// fused verb decodes float32s, so build the pattern from small floats.
+	// Keep float32 garbage out of WriteAccumulate: the fused verb decodes
+	// float32s, so build the pattern from small floats.
 	f, _ := tensor.Float32View(b)
 	for i := range f {
-		f[i] = float32(i%257) * 0.5
+		f[i] = float32((i+int(seed))%257) * 0.5
 	}
 	return b
+}
+
+// pipeClient serves srv over an in-process pipe: a conn with deadlines but
+// no writev.
+func pipeClient(t *testing.T, srv *Server) *StreamClient {
+	t.Helper()
+	a, b := net.Pipe()
+	go srv.ServeConn(b) //lint:ignore goleak joined by srv.Close via the server's WaitGroup
+	c := NewStreamClient(a)
+	t.Cleanup(func() { c.Close() })
+	return c
 }
 
 // TestScatterGatherRoundTrip exercises the three vectored verbs end to end:
@@ -37,7 +48,6 @@ func sgPattern(n int, seed byte) []byte {
 func TestScatterGatherRoundTrip(t *testing.T) {
 	srv := startServer(t)
 	c := dialT(t, srv)
-	c.EnableScatterGather(true)
 
 	key, err := c.Create("wg", sgTestBytes)
 	if err != nil {
@@ -90,60 +100,105 @@ func TestScatterGatherRoundTrip(t *testing.T) {
 	}
 }
 
-// TestScatterGatherWireEquivalence runs the same operations through a
-// vectored and a staged client and asserts bitwise-identical segment
-// contents — the SG path changes syscalls, never bytes.
-func TestScatterGatherWireEquivalence(t *testing.T) {
-	srv := startServer(t)
-	sg := dialT(t, srv)
-	sg.EnableScatterGather(true)
-	plain := dialT(t, srv)
+// wireOpsClient is what the equivalence run drives: the base verbs plus
+// the fused push and snapshots.
+type wireOpsClient interface {
+	Client
+	WriteAccumulator
+	Snapshotter
+}
 
-	data := sgPattern(sgTestBytes, 9)
-	run := func(c *StreamClient, name string) []byte {
-		t.Helper()
-		key, err := c.Create(name, sgTestBytes)
-		if err != nil {
-			t.Fatal(err)
-		}
-		h, err := c.Attach(key)
-		if err != nil {
-			t.Fatal(err)
-		}
-		kd, err := c.Create(name+"-dw", sgTestBytes)
-		if err != nil {
-			t.Fatal(err)
-		}
-		hd, err := c.Attach(kd)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := c.Write(h, 0, data); err != nil {
-			t.Fatal(err)
-		}
-		if err := c.WriteAccumulate(h, hd, data); err != nil {
-			t.Fatal(err)
-		}
-		out := make([]byte, sgTestBytes)
-		if err := c.Read(h, 0, out); err != nil {
-			t.Fatal(err)
-		}
-		return out
+// runWireOps runs one fixed sequence of verbs — bulk and tiny, at offset 0
+// and past it, single- and multi-chunk — and returns every byte read back.
+func runWireOps(t *testing.T, c wireOpsClient) []byte {
+	t.Helper()
+	const n = sgTestBytes + 3*4096 // a partial last chunk
+	key, err := c.Create("wg", n)
+	if err != nil {
+		t.Fatal(err)
 	}
-	a := run(sg, "sg")
-	b := run(plain, "plain")
-	if !bytes.Equal(a, b) {
-		t.Fatal("vectored and staged paths produced different segment contents")
+	h, err := c.Attach(key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	kd, err := c.Create("dw", n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hd, err := c.Attach(kd)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out []byte
+	read := func(h Handle, off, size int) {
+		t.Helper()
+		b := make([]byte, size)
+		if err := c.Read(h, off, b); err != nil {
+			t.Fatal(err)
+		}
+		out = append(out, b...)
+	}
+	if err := c.Write(h, 0, sgPattern(n, 9)); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Write(h, 4096, sgPattern(8, 1)); err != nil { // below sgMinPayload
+		t.Fatal(err)
+	}
+	if err := c.WriteAccumulate(h, hd, sgPattern(n, 4)); err != nil {
+		t.Fatal(err)
+	}
+	read(h, 0, n)
+	read(hd, 12, 20)
+	if err := c.Accumulate(hd, h); err != nil {
+		t.Fatal(err)
+	}
+	info, err := c.Snapshot(hd)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Write(hd, 0, sgPattern(n, 2)); err != nil { // after the cut
+		t.Fatal(err)
+	}
+	snap := make([]byte, n-64)
+	if err := c.SnapRead(info.ID, 64, snap); err != nil {
+		t.Fatal(err)
+	}
+	out = append(out, snap...)
+	if err := c.SnapRelease(info.ID); err != nil {
+		t.Fatal(err)
+	}
+	read(hd, 0, n)
+	return out
+}
+
+// TestScatterGatherWireEquivalence runs the same operations through a
+// StreamClient and through a LocalClient on an in-process store, and
+// asserts bitwise-identical results — on a writev conn and on one
+// without, so the single path is pinned where net.Buffers degrades to one
+// Write per iovec.
+func TestScatterGatherWireEquivalence(t *testing.T) {
+	want := runWireOps(t, NewLocalClient(NewStore()))
+	for _, tc := range []struct {
+		name string
+		dial func(*testing.T, *Server) *StreamClient
+	}{
+		{"tcp", dialT},
+		{"pipe", pipeClient},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if got := runWireOps(t, tc.dial(t, startServer(t))); !bytes.Equal(got, want) {
+				t.Fatal("wire client and in-process store produced different bytes")
+			}
+		})
 	}
 }
 
 // TestScatterGatherErrorReply sends a bulk Read for a dead handle through
-// the direct-landing path: the small error frame takes the slow path, the
+// the direct-landing path: the small error frame lands in the scratch, the
 // error surfaces as a remote error, and the connection stays usable.
 func TestScatterGatherErrorReply(t *testing.T) {
 	srv := startServer(t)
 	c := dialT(t, srv)
-	c.EnableScatterGather(true)
 
 	dst := make([]byte, sgTestBytes)
 	err := c.Read(Handle(999), 0, dst)
@@ -175,13 +230,12 @@ func TestScatterGatherErrorReply(t *testing.T) {
 }
 
 // TestScatterGatherTrace runs the vectored verbs with wire tracing
-// negotiated: the trace extension rides the stamped headers (sgStampHdr)
-// instead of the staged writer, and results stay correct.
+// negotiated: the trace extension rides the stamped headers
+// (stampFrameHdr), and results stay correct.
 func TestScatterGatherTrace(t *testing.T) {
 	srv := startServer(t)
 	srv.SetTracer(telemetry.NewTracer(4096))
 	c := dialT(t, srv)
-	c.EnableScatterGather(true)
 	ok, err := c.NegotiateTrace()
 	if err != nil || !ok {
 		t.Fatalf("NegotiateTrace = (%v, %v)", ok, err)
@@ -225,77 +279,15 @@ func TestScatterGatherTrace(t *testing.T) {
 	}
 }
 
-// TestScatterGatherSteadyStateZeroAlloc holds the registered-buffer
-// contract: once warmed, the vectored bulk verbs allocate nothing per op on
-// the client (the in-process server shares the heap, so the guard uses the
-// same epsilon as the staged-path test in alloc_test.go).
-func TestScatterGatherSteadyStateZeroAlloc(t *testing.T) {
-	srv := startServer(t)
-	c := dialT(t, srv)
-	c.EnableScatterGather(true)
-
-	key, err := c.Create("wg", sgTestBytes)
-	if err != nil {
-		t.Fatal(err)
-	}
-	h, err := c.Attach(key)
-	if err != nil {
-		t.Fatal(err)
-	}
-	kd, err := c.Create("dw", sgTestBytes)
-	if err != nil {
-		t.Fatal(err)
-	}
-	hd, err := c.Attach(kd)
-	if err != nil {
-		t.Fatal(err)
-	}
-	data := sgPattern(sgTestBytes, 13)
-	buf := make([]byte, sgTestBytes)
-	for i := 0; i < 4; i++ { // warm every grow-only buffer
-		if err := c.Write(h, 0, data); err != nil {
-			t.Fatal(err)
-		}
-		if err := c.Read(h, 0, buf); err != nil {
-			t.Fatal(err)
-		}
-		if err := c.WriteAccumulate(h, hd, data); err != nil {
-			t.Fatal(err)
-		}
-	}
-	const eps = 0.5
-	if a := testing.AllocsPerRun(50, func() {
-		if err := c.Write(h, 0, data); err != nil {
-			t.Fatal(err)
-		}
-	}); a > eps {
-		t.Errorf("vectored Write allocates %.1f per op, want ~0", a)
-	}
-	if a := testing.AllocsPerRun(50, func() {
-		if err := c.Read(h, 0, buf); err != nil {
-			t.Fatal(err)
-		}
-	}); a > eps {
-		t.Errorf("vectored Read allocates %.1f per op, want ~0", a)
-	}
-	if a := testing.AllocsPerRun(50, func() {
-		if err := c.WriteAccumulate(h, hd, data); err != nil {
-			t.Fatal(err)
-		}
-	}); a > eps {
-		t.Errorf("vectored WriteAccumulate allocates %.1f per op, want ~0", a)
-	}
-}
-
-// TestSupervisedScatterGather wires the SG flag through the supervised
-// client: every connection (including reconnects) comes up vectored, and
-// the exactly-once push protocol holds across a connection loss.
+// TestSupervisedScatterGather runs the supervised client over the vectored
+// path: every connection (including reconnects) streams its pushes as one
+// vectored write, and the exactly-once push protocol holds across a
+// connection loss.
 func TestSupervisedScatterGather(t *testing.T) {
 	srv := startServer(t)
 	c := NewSupervisedClient(SupervisedConfig{
-		Addr:          srv.Addr(),
-		ScatterGather: true,
-		ClientID:      71,
+		Addr:     srv.Addr(),
+		ClientID: 71,
 	})
 	defer c.Close()
 
@@ -319,8 +311,8 @@ func TestSupervisedScatterGather(t *testing.T) {
 	if err := c.WriteAccumulate(h, hd, data); err != nil {
 		t.Fatal(err)
 	}
-	// Kill the live connection; the next push must reconnect, re-enable SG,
-	// and apply exactly once.
+	// Kill the live connection; the next push must reconnect and apply
+	// exactly once.
 	c.mu.Lock()
 	c.conn.conn.Close()
 	c.mu.Unlock()

@@ -68,10 +68,6 @@ type SupervisedConfig struct {
 	// ClientID keys the server-side push dedup. 0 draws a process-local
 	// unique ID; multi-process jobs must set it (rank+1).
 	ClientID uint64
-	// ScatterGather enables the vectored TCP path (sg.go) on every
-	// connection, including reconnects: bulk writes and chunked pushes go
-	// out header+payload in one writev, bulk reads land directly.
-	ScatterGather bool
 }
 
 // SupervisedStats snapshots a client's recovery counters.
@@ -205,9 +201,6 @@ func (c *SupervisedClient) ensureLocked() (*StreamClient, error) {
 		return nil, fmt.Errorf("smb supervised dial: %w", err)
 	}
 	sc.SetTimeouts(c.cfg.OpTimeout, c.cfg.WaitTimeout)
-	if c.cfg.ScatterGather {
-		sc.EnableScatterGather(true)
-	}
 	if c.wantTrace {
 		// Re-negotiate on every fresh connection — the grant is per-conn
 		// state on the server. A transport failure here counts as a failed

@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"io"
 )
 
 // Wire-level trace propagation. A client that has negotiated the trace
@@ -62,31 +61,6 @@ type TraceContext struct {
 type TraceCarrier interface {
 	SetTraceContext(tc TraceContext)
 	ClearTraceContext()
-}
-
-// writeFrameTracedInto is writeFrameInto plus the trace extension header:
-// the opcode byte gets traceFlagBit and the 24-byte header is staged
-// between it and the payload, all in one buffer and one Write.
-//
-//shm:hotpath
-func writeFrameTracedInto(w io.Writer, op byte, payload []byte, tc TraceContext, scratch *[]byte) error {
-	if len(payload)+1+traceHeaderLen > maxFrame {
-		return ErrFrameTooLarge
-	}
-	need := 5 + traceHeaderLen + len(payload)
-	if cap(*scratch) < need {
-		*scratch = make([]byte, need)
-	}
-	buf := (*scratch)[:need]
-	binary.LittleEndian.PutUint32(buf[:4], uint32(need-4))
-	buf[4] = op | traceFlagBit
-	binary.LittleEndian.PutUint64(buf[5:13], tc.TraceID)
-	binary.LittleEndian.PutUint64(buf[13:21], tc.SpanID)
-	binary.LittleEndian.PutUint32(buf[21:25], tc.Rank)
-	binary.LittleEndian.PutUint32(buf[25:29], tc.Iter)
-	copy(buf[29:], payload)
-	_, err := w.Write(buf)
-	return err
 }
 
 // NegotiateTrace performs the opHello feature exchange and reports whether

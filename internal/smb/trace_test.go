@@ -15,15 +15,23 @@ import (
 // negotiation, client→server span linking, and both interop directions
 // (old client → new server, new client → old server).
 
+// TestTraceFrameRoundTrip stages a traced request the way the client
+// sends one — staged head plus an unstaged body, one vectored write — and
+// reads it back as the server does.
 func TestTraceFrameRoundTrip(t *testing.T) {
 	tc := TraceContext{TraceID: 0xdeadbeef, SpanID: 0x1122334455667788, Rank: 3, Iter: 41}
 	payload := []byte("hello segment")
-	var buf bytes.Buffer
-	var scratch []byte
-	if err := writeFrameTracedInto(&buf, byte(opWrite), payload, tc, &scratch); err != nil {
+	c := &StreamClient{traceOK: true, tc: tc}
+	c.beginLocked().bytes(payload[:6])
+	if err := c.gatherRequestLocked(opWrite, payload[6:]); err != nil {
 		t.Fatal(err)
 	}
-	op, body, err := readFrame(&buf)
+	var buf bytes.Buffer
+	if err := c.vw.writeTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	var scratch []byte
+	op, body, err := readFrameInto(&buf, &scratch)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,6 +55,18 @@ func TestTraceFrameRoundTrip(t *testing.T) {
 	// Undersized header must be rejected, not sliced.
 	if _, _, err := parseTraceExt(body[:traceHeaderLen-1]); err == nil {
 		t.Fatal("parseTraceExt accepted a truncated header")
+	}
+
+	// opHello negotiates the extension, so it never carries it.
+	c.beginLocked().u64(helloFeatureTrace)
+	if err := c.gatherRequestLocked(opHello, nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.vw.writeTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if op, _, err = readFrameInto(&buf, &scratch); err != nil || op != byte(opHello) {
+		t.Fatalf("hello frame opcode %#x (err %v), want unflagged %#x", op, err, byte(opHello))
 	}
 }
 

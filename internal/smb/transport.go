@@ -7,9 +7,9 @@ import (
 	"time"
 )
 
-// Pluggable transports (DESIGN.md §16): the TCP frame protocol, its
-// scatter-gather variant, and the cross-process shared-memory path are
-// peers behind one dial registry. A transport turns DialOptions into a
+// Pluggable transports (DESIGN.md §16): the vectored TCP frame protocol
+// and the cross-process shared-memory path are peers behind one dial
+// registry. A transport turns DialOptions into a
 // Client; everything above (platform wiring, shmtrain) selects by name and
 // never sees the difference.
 
@@ -66,23 +66,15 @@ func TransportNames() []string {
 	return names
 }
 
-func dialSupervised(opts DialOptions, sg bool) (Client, error) {
-	return NewSupervisedClient(SupervisedConfig{
-		Addr:          opts.Addr,
-		OpTimeout:     opts.OpTimeout,
-		WaitTimeout:   opts.WaitTimeout,
-		Seed:          opts.Seed,
-		ClientID:      opts.ClientID,
-		ScatterGather: sg,
-	}), nil
-}
-
 func init() {
 	RegisterTransport("tcp", func(opts DialOptions) (Client, error) {
-		return dialSupervised(opts, false)
-	})
-	RegisterTransport("tcp_sg", func(opts DialOptions) (Client, error) {
-		return dialSupervised(opts, true)
+		return NewSupervisedClient(SupervisedConfig{
+			Addr:        opts.Addr,
+			OpTimeout:   opts.OpTimeout,
+			WaitTimeout: opts.WaitTimeout,
+			Seed:        opts.Seed,
+			ClientID:    opts.ClientID,
+		}), nil
 	})
 	RegisterTransport("shm", func(opts DialOptions) (Client, error) {
 		path, err := negotiateShm(opts)
@@ -136,8 +128,7 @@ func negotiateShm(opts DialOptions) (string, error) {
 }
 
 // DialAuto negotiates the best transport for addr: shared memory when the
-// server offers it and lives on this kernel, plain supervised TCP
-// otherwise. Returns the client and the name of what was actually dialed
+// server offers it and lives on this kernel, supervised TCP otherwise. Returns the client and the name of what was actually dialed
 // ("shm" or "tcp") so callers can log the decision.
 func DialAuto(opts DialOptions) (Client, string, error) {
 	if path, err := negotiateShm(opts); err == nil {

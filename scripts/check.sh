@@ -57,8 +57,9 @@ tier2() {
 		./internal/parallel ./internal/tensor ./internal/smb
 	echo "== tier 2: allocation regression guard =="
 	# Pins the zero-alloc contract of the SMB hot path (Store and
-	# StreamClient Read/Write/Accumulate, the chunked WRITE+ACCUMULATE
-	# sequence, pooled wire scratch), the fused worker exchange step, the
+	# StreamClient Read/Write/Accumulate, the client's bulk vectored verbs
+	# including SnapRead, the chunked WRITE+ACCUMULATE sequence, pooled
+	# wire scratch), the fused worker exchange step, the
 	# exchange engine's traced push and staleness probe, and the pooled
 	# parallel.For/ForRanger dispatch.
 	go test -run='TestSteadyStateZeroAlloc|TestReadInt64Slots|TestSnapReadZeroAlloc' -count=1 ./internal/smb
@@ -331,10 +332,11 @@ obs_smoke() {
 # shm_smoke is ISSUE 9's acceptance drill for the zero-copy transport.
 # Part (a): an shm-enabled server with two co-located -smb-transport auto
 # workers — both must negotiate the mapped path and /metrics must report the
-# passed segment fds. Part (b): three 1-worker runs of the same seed against
-# fresh servers — auto (maps shm), forced tcp (clean fallback while shm is
-# offered), and tcp_sg — must print bitwise-identical final Wg hashes
-# (-no-overlap removes the one scheduling race so the comparison is exact).
+# passed segment fds. Part (b): two 1-worker runs of the same seed against
+# fresh servers — auto (maps shm) and forced tcp (the vectored wire path,
+# a clean fallback while shm is offered) — must print bitwise-identical
+# final Wg hashes (-no-overlap removes the one scheduling race so the
+# comparison is exact).
 shm_smoke() {
 	tmpdir4="$(mktemp -d)"
 	trap 'clean_smoke' EXIT
@@ -412,7 +414,7 @@ shm_smoke() {
 	# run (reusing one server would trip the exactly-once dedup table, which
 	# silently drops a new run's replayed sequence numbers).
 	sha=""
-	for t in auto tcp tcp_sg; do
+	for t in auto tcp; do
 		start_shm_server "$t" || return 1
 		"$tmpdir4/shmtrain" -rank 0 -world 1 -smb "$smb" -job detdrill \
 			-epochs 10 -per-class 40 -smb-transport "$t" -no-overlap \
@@ -442,7 +444,7 @@ shm_smoke() {
 			return 1
 		fi
 	done
-	echo "shm smoke: OK (2 workers mapped, $fd_passed fds passed; Wg $sha identical on shm/tcp/tcp_sg)"
+	echo "shm smoke: OK (2 workers mapped, $fd_passed fds passed; Wg $sha identical on shm/tcp)"
 }
 
 # serve_smoke is ISSUE 10's acceptance drill for serve-from-live-buffer: an
