@@ -142,23 +142,46 @@ func TestShouldStopAlive(t *testing.T) {
 	}
 }
 
+// awaitTombstone holds w until rank dead's tombstone is visible in the
+// heartbeat block.
+func awaitTombstone(w *Worker, dead int) error {
+	beats := make([]int64, w.Buffers().WorldSize())
+	return waitFor(fmt.Sprintf("rank %d's tombstone", dead), func() (bool, error) {
+		if err := w.Buffers().HeartbeatsInto(beats); err != nil {
+			return false, err
+		}
+		return beats[dead] == deadTombstone, nil
+	})
+}
+
 // TestMasterCrashSurvivorsReElect: with StopOnMaster the seed's protocol
 // freezes the job forever when the master dies below target (its counter
 // never reaches it). With liveness the survivors re-elect the lowest live
-// rank as the reference and terminate on schedule.
+// rank as the reference and terminate on schedule. The survivors go past
+// iteration 3 only once the tombstone has landed, and rank 2 keeps within
+// a few iterations of rank 1, so the bound tests re-election, not how the
+// host schedules the three workers.
 func TestMasterCrashSurvivorsReElect(t *testing.T) {
 	job := newTestJob(t, 3, 17)
 	stats, errs := runWorkersAllowFail(t, job, func(rank int, cfg *WorkerConfig) {
 		cfg.Termination = StopOnMaster
 		cfg.MaxIterations = 30
 		cfg.LivenessTimeout = 10 * time.Second // tombstone path only: deterministic
-		if rank == 0 {
-			cfg.Hook = func(w *Worker, iter int) error {
-				if iter >= 2 {
-					return errInjectedCrash
-				}
+		budget := int64(cfg.MaxIterations)
+		cfg.Hook = func(w *Worker, iter int) error {
+			switch {
+			case rank == 0 && iter >= 2:
+				return errInjectedCrash
+			case rank == 0 || iter < 3:
 				return nil
 			}
+			if err := awaitTombstone(w, 0); err != nil {
+				return err
+			}
+			if rank == 2 {
+				return paceBehind(w, iter, 1, 10, budget)
+			}
+			return nil
 		}
 	})
 	if !errors.Is(errs[0], errInjectedCrash) {
@@ -182,7 +205,9 @@ func TestMasterCrashSurvivorsReElect(t *testing.T) {
 // TestAverageExcludesDeadWorker: under StopOnAverage a crashed worker's
 // frozen counter must not make the survivors grind out its unfinished
 // share. With exclusion the three survivors need ~target iterations each;
-// without it they would need ~(4*target - crashpoint)/3.
+// without it they would need ~(4*target - crashpoint)/3. The survivors go
+// past iteration 4 only once the tombstone has landed, so the bound tests
+// the exclusion, not how soon the host schedules the dying worker again.
 func TestAverageExcludesDeadWorker(t *testing.T) {
 	const target = 30
 	job := newTestJob(t, 4, 23)
@@ -190,13 +215,14 @@ func TestAverageExcludesDeadWorker(t *testing.T) {
 		cfg.Termination = StopOnAverage
 		cfg.MaxIterations = target
 		cfg.LivenessTimeout = 10 * time.Second
-		if rank == 3 {
-			cfg.Hook = func(w *Worker, iter int) error {
-				if iter >= 3 {
-					return errInjectedCrash
-				}
+		cfg.Hook = func(w *Worker, iter int) error {
+			switch {
+			case rank == 3 && iter >= 3:
+				return errInjectedCrash
+			case rank == 3 || iter < 4:
 				return nil
 			}
+			return awaitTombstone(w, 3)
 		}
 	})
 	if !errors.Is(errs[3], errInjectedCrash) {

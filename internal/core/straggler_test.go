@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"sync"
 	"testing"
 	"time"
@@ -58,17 +59,33 @@ func TestTerminationAlignmentWithStraggler(t *testing.T) {
 }
 
 // TestProgressCountersVisibleAcrossWorkers: the control segment exposes
-// every worker's iteration count to every other worker.
+// every worker's iteration count to every other worker. The master reads
+// the counters at its iteration 20, once the peer has published its first
+// iteration — a peer the host has not yet scheduled has nothing to show.
 func TestProgressCountersVisibleAcrossWorkers(t *testing.T) {
 	job := newTestJob(t, 2, 32)
-	var once sync.Once
+	var once, published sync.Once
+	peerPublished := make(chan struct{})
 	var observed []int64
 	stats := runWorkers(t, job, func(rank int, cfg *WorkerConfig) {
 		if rank != 0 {
+			cfg.Hook = func(_ *Worker, iter int) error {
+				// Progress is reported after the hook, so iteration 1's
+				// hook runs after iteration 0's count was published.
+				if iter == 1 {
+					published.Do(func() { close(peerPublished) })
+				}
+				return nil
+			}
 			return
 		}
 		cfg.Hook = func(w *Worker, iter int) error {
 			if iter == 20 {
+				select {
+				case <-peerPublished:
+				case <-time.After(10 * time.Second):
+					return errors.New("peer never reached its iteration 1")
+				}
 				once.Do(func() {
 					p, err := w.Buffers().Progress()
 					if err != nil {
@@ -87,10 +104,7 @@ func TestProgressCountersVisibleAcrossWorkers(t *testing.T) {
 	if observed[0] < 20 {
 		t.Fatalf("own progress %d < 20", observed[0])
 	}
-	// The other worker must have published some progress by then (both
-	// yield per iteration, so it cannot still be at zero... unless it
-	// finished instantly, in which case it reported its final count).
-	if observed[1] == 0 && stats[1].Iterations > 0 {
+	if observed[1] < 1 {
 		t.Fatalf("peer progress invisible: %v (peer ran %d)", observed, stats[1].Iterations)
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"sync"
 	"testing"
+	"time"
 
 	"shmcaffe/internal/dataset"
 	"shmcaffe/internal/mpi"
@@ -262,10 +263,20 @@ func TestStopOnFirstAlignsWorkers(t *testing.T) {
 	}
 }
 
+// TestStopOnMasterAlignsWorkers: followers stop once the master reaches
+// its budget. Each follower is paced to stay within a few iterations of
+// the master — as workers on their own GPUs do — so the bound below tests
+// alignment, not how evenly the host's scheduler shares its CPUs: without
+// alignment a follower runs on to the 100× hard cap once the master is
+// done.
 func TestStopOnMasterAlignsWorkers(t *testing.T) {
 	job := newTestJob(t, 3, 8)
-	stats := runWorkers(t, job, func(_ int, cfg *WorkerConfig) {
+	stats := runWorkers(t, job, func(rank int, cfg *WorkerConfig) {
 		cfg.Termination = StopOnMaster
+		if rank != 0 {
+			budget := int64(cfg.MaxIterations)
+			cfg.Hook = func(w *Worker, iter int) error { return paceBehind(w, iter, 0, 10, budget) }
+		}
 	})
 	if stats[0].Iterations < 40 {
 		t.Fatalf("master stopped at %d < budget", stats[0].Iterations)
@@ -372,4 +383,34 @@ func TestWorkerTerminationFlagPreempts(t *testing.T) {
 			t.Fatalf("flag did not preempt: %d iterations", s.Iterations)
 		}
 	}
+}
+
+// waitFor polls cond until it holds, failing after 10 s so a broken
+// protocol shows up as an error instead of a hung test.
+func waitFor(what string, cond func() (bool, error)) error {
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		ok, err := cond()
+		if err != nil || ok {
+			return err
+		}
+		if time.Now().After(deadline) {
+			return fmt.Errorf("gave up after 10 s waiting for %s", what)
+		}
+		time.Sleep(50 * time.Microsecond)
+	}
+}
+
+// paceBehind holds w at iteration iter until rank ref has published
+// min(iter+1-lead, budget) iterations: w runs at most lead iterations ahead
+// of a ref still short of its budget, and freely once ref is done.
+func paceBehind(w *Worker, iter, ref int, lead, budget int64) error {
+	need := min(int64(iter)+1-lead, budget)
+	return waitFor(fmt.Sprintf("rank %d to publish %d iterations", ref, need), func() (bool, error) {
+		p, err := w.Buffers().Progress()
+		if err != nil {
+			return false, err
+		}
+		return p[ref] >= need, nil
+	})
 }

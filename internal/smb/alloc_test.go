@@ -152,13 +152,24 @@ func TestSteadyStateZeroAllocStreamClient(t *testing.T) {
 	}); n > eps {
 		t.Errorf("StreamClient.Accumulate allocates %.1f per op, want ~0", n)
 	}
+}
 
-	// Bulk verbs at 1 MiB: the registered iovec list and header slab carry
-	// a multi-iovec Write, a 4-chunk WriteAccumulate pipeline, and replies
-	// landing directly in the caller's buffer — for Read and SnapRead.
+// TestScatterGatherSteadyStateZeroAlloc holds the registered-buffer contract
+// of the bulk verbs at 1 MiB: the iovec list and header slab carry a
+// multi-iovec Write, a 4-chunk WriteAccumulate pipeline, and replies landing
+// directly in the caller's buffer — for Read and SnapRead. Once warmed, none
+// allocates per op on the client (the in-process server shares the heap, so
+// the guard uses the same epsilon as TestSteadyStateZeroAllocStreamClient).
+func TestScatterGatherSteadyStateZeroAlloc(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates")
+	}
+	client := dialT(t, startServer(t))
+	client.Instrument(telemetry.NewRegistry())
+	const eps = 0.5
 	bulk := sgPattern(sgTestBytes, 13)
 	var bh [2]Handle
-	for i, name := range []string{"alloc/bulk-wg", "alloc/bulk-dw"} {
+	for i, name := range []string{"wg", "dw"} {
 		key, err := client.Create(name, sgTestBytes)
 		if err != nil {
 			t.Fatal(err)

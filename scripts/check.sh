@@ -62,7 +62,7 @@ tier2() {
 	# wire scratch), the fused worker exchange step, the
 	# exchange engine's traced push and staleness probe, and the pooled
 	# parallel.For/ForRanger dispatch.
-	go test -run='TestSteadyStateZeroAlloc|TestReadInt64Slots|TestSnapReadZeroAlloc' -count=1 ./internal/smb
+	go test -run='SteadyStateZeroAlloc|TestReadInt64Slots|TestSnapReadZeroAlloc' -count=1 ./internal/smb
 	go test -run='TestRecordingZeroAlloc|TestSpanZeroAlloc|TestEventRecordZeroAlloc' -count=1 ./internal/telemetry
 	go test -run='TestFusedStepAndStreamZeroAlloc|TestExchangePushZeroAlloc' -count=1 ./internal/core
 	go test -run='TestForRangerZeroAlloc|TestForZeroAlloc|TestFreelist' -count=1 ./internal/parallel
